@@ -28,20 +28,9 @@ from .geometry import (
 )
 from .kernel import (
     KernelParams,
-    PCoefficients,
-    SegmentBasis,
-    TTable,
-    boundary_ab,
     epsilon_floor,
-    p_coefficients,
     point_stokeslet,
-    segment_base,
-    segment_recurse,
-    t001,
-    t003,
     t_table,
-    triangle_net_force,
-    triangle_net_torque,
     triangle_velocity,
 )
 from .reference import (

@@ -1,14 +1,13 @@
 """Command-line frontend: mesh generation, point evaluation, solves, studies.
 
 Exit codes: 0 success, 2 usage error, 3 regularization below the
-floating-point floor, 4 singular linear system, 5 I/O failure.
+floating-point floor, 4 singular linear system, 5 I/O or mesh-format error
+(including a degenerate triangle).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from . import reference as ref
 from . import solver, studies
 from .errors import (
+    DegenerateTriangleError,
     FloatingFloorError,
     MeshFormatError,
     SingularSystemError,
@@ -29,15 +29,13 @@ from .geometry import (
     read_mesh,
     write_mesh,
 )
-from .kernel import KernelParams, epsilon_floor
+from .kernel import KernelParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FLOOR = 3
 EXIT_SINGULAR = 4
 EXIT_IO = 5
-
-THREADS_ENV = "STOKESLET_SURFACES_THREADS"
 
 
 def _float_list(text):
@@ -67,8 +65,6 @@ def parse_args(argv):
         description="Boundary-integral Stokes flow with analytically "
         "integrated regularized Stokeslets on triangle meshes.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"thread-count hint (default: ${THREADS_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_mesh_options(p):
@@ -147,30 +143,6 @@ def _build_mesh(config):
     return make_pipe_mesh(config.length, config.a, config.b, config.grid_h)
 
 
-def _check_floor(mesh, eps):
-    floor = epsilon_floor(mesh)
-    if eps <= floor:
-        raise FloatingFloorError(
-            f"eps = {eps:g} violates the floor rule eps^2 > ulp(Lmax): "
-            f"requires eps > {floor:g} for this mesh"
-        )
-
-
-def _thread_hint(config):
-    count = config.threads
-    if count is None:
-        raw = os.environ.get(THREADS_ENV)
-        count = int(raw) if raw and raw.isdigit() else None
-    if count is None:
-        return contextlib.nullcontext()
-    try:
-        import threadpoolctl
-
-        return threadpoolctl.threadpool_limits(limits=count)
-    except ImportError:
-        return contextlib.nullcontext()
-
-
 def _run_mesh(config):
     mesh = _build_mesh(config)
     stats = mesh_stats(mesh)
@@ -186,17 +158,11 @@ def _sphere_tractions(mesh, config):
             config.a * np.array([1.0, 0, 0]), config.a, [1.0, 0, 0], config.mu
         )
         return np.tile(t, (mesh.num_vertices, 1))
-    return np.array(
-        [
-            ref.sphere_rotation_reference(v, config.a, [0, 0, 1.0], config.mu)[0]
-            for v in mesh.vertices
-        ]
-    )
+    return ref.sphere_rotation_reference(mesh.vertices, config.a, [0, 0, 1.0], config.mu)[0]
 
 
 def _run_eval(config):
     mesh = _build_mesh(config)
-    _check_floor(mesh, config.eps)
     params = KernelParams(eps=config.eps, mu=config.mu)
     points = np.array(config.point) if config.point else mesh.vertices
     forces = _sphere_tractions(mesh, config)
@@ -210,15 +176,12 @@ def _run_eval(config):
 
 def _run_solve(config):
     mesh = _build_mesh(config)
-    _check_floor(mesh, config.eps)
     params = KernelParams(eps=config.eps, mu=config.mu)
     if config.problem == "squirmer":
         r = np.linalg.norm(mesh.vertices, axis=1)
         theta = np.arccos(np.clip(mesh.vertices[:, 2] / r, -1, 1))
         phi = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
-        slip = np.array(
-            [ref.squirmer_slip(t, p) for t, p in zip(theta, phi)]
-        )
+        slip = ref.squirmer_slip(theta, phi)
         sol = solver.solve_swimmer(mesh, slip, params, center=np.zeros(3))
         forces = sol.forces
         print(f"squirmer U = ({sol.U[0]:.6g}, {sol.U[1]:.6g}, {sol.U[2]:.6g}) "
@@ -255,12 +218,6 @@ def _run_study(config):
         params["h_cube_values"] = config.h_cube
     if config.eps_over_h is not None:
         params["eps_over_h"] = config.eps_over_h
-    # validate the floor up front for mesh/eps grids on sphere-based studies
-    if config.eps is not None and config.f is not None and config.id != "pipe-leak":
-        for f in config.f:
-            mesh = make_icosphere(f, radius=params.get("a", 1.0))
-            for eps in config.eps:
-                _check_floor(mesh, eps)
     report = studies.run_study(config.id, params)
     for line in report.summary_lines():
         print(line)
@@ -271,14 +228,13 @@ def _run_study(config):
 
 
 def run(config) -> int:
-    with _thread_hint(config):
-        if config.command == "mesh":
-            return _run_mesh(config)
-        if config.command == "eval":
-            return _run_eval(config)
-        if config.command == "solve":
-            return _run_solve(config)
-        return _run_study(config)
+    if config.command == "mesh":
+        return _run_mesh(config)
+    if config.command == "eval":
+        return _run_eval(config)
+    if config.command == "solve":
+        return _run_solve(config)
+    return _run_study(config)
 
 
 def main(argv=None) -> int:
@@ -294,7 +250,7 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (OSError, MeshFormatError) as exc:
+    except (OSError, MeshFormatError, DegenerateTriangleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

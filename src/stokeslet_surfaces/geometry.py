@@ -435,6 +435,8 @@ def read_mesh(path) -> TriMesh:
         raise MeshFormatError(f"unparseable mesh file: {exc}") from None
     if len(values) != 3 * nv or len(indices) != 3 * nf:
         raise MeshFormatError("mesh file truncated")
+    if len(tokens) > 2 + 3 * nv + 3 * nf:
+        raise MeshFormatError("unexpected tokens after the face list")
     vertices = np.array(values).reshape(nv, 3)
     faces = np.array(indices, dtype=np.int64).reshape(nf, 3)
     return TriMesh(vertices, faces)

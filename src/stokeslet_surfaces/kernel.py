@@ -11,14 +11,15 @@ T[0,0,3] come from contour integrals around the triangle; every other entry
 follows from index recursions driven by closed-form line-segment integrals
 along the three sides.
 
-All functions here are pure. Internally everything is vectorized over a batch
-of field points; the scalar public API wraps batches of size one.
+All functions here are pure and vectorized over a batch of field points;
+`t_table` and `triangle_velocity` evaluate one point through the same path
+that assembly uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,27 +28,11 @@ from .geometry import TriangleFrame, TriMesh
 
 __all__ = [
     "KernelParams",
-    "SegmentBasis",
-    "TTable",
-    "PCoefficients",
     "point_stokeslet",
-    "segment_base",
-    "segment_recurse",
-    "boundary_ab",
-    "t003",
-    "t001",
     "t_table",
-    "p_coefficients",
     "triangle_velocity",
-    "triangle_net_force",
-    "triangle_net_torque",
     "epsilon_floor",
 ]
-
-_T_INDEX = (
-    (0, 0, 1), (0, 0, 3), (1, 0, 1), (1, 0, 3), (0, 1, 1), (0, 1, 3),
-    (2, 0, 3), (1, 1, 3), (0, 2, 3), (3, 0, 3), (2, 1, 3), (1, 2, 3), (0, 3, 3),
-)
 
 _ATANH_LIMIT = 1.0 - 4.0 * np.spacing(1.0)
 _SIDE_SKIP_REL = 1e-14
@@ -150,40 +135,6 @@ def _segment_tables(xf, a, b, eps, with_s1m1=False):
     return out
 
 
-@dataclass
-class SegmentBasis:
-    """Segment integral values S[m, q] for one triangle side.
-
-    `direction` tags which parameter-space side the segment realizes:
-    'e1' (y0 -> y1), 'e2' (y1 -> y2), or 'd' (y2 -> y0).
-    """
-
-    direction: str
-    s: dict = field(default_factory=dict)
-
-
-def segment_base(xf, y_start, y_end, eps: float) -> tuple[float, float]:
-    """Base cases (S[0,-1], S[0,1]) for one segment."""
-    t = _segment_tables(np.asarray(xf, dtype=float)[None, :], y_start, y_end, eps)
-    return float(t[(0, -1)][0]), float(t[(0, 1)][0])
-
-
-def segment_recurse(
-    basis: SegmentBasis, xf, y_start, y_end, eps: float, with_s1m1: bool = False
-) -> SegmentBasis:
-    """Fill S[1,1], S[2,1] (and optionally S[1,-1]) from the base cases."""
-    if (0, -1) not in basis.s or (0, 1) not in basis.s:
-        raise ValueError("base entries S[0,-1] and S[0,1] must be present")
-    t = _segment_tables(
-        np.asarray(xf, dtype=float)[None, :], y_start, y_end, eps, with_s1m1=with_s1m1
-    )
-    basis.s[(1, 1)] = float(t[(1, 1)][0])
-    basis.s[(2, 1)] = float(t[(2, 1)][0])
-    if with_s1m1:
-        basis.s[(1, -1)] = float(t[(1, -1)][0])
-    return basis
-
-
 def _boundary_ab(m, n, q, e1, e2, d):
     """Contour integrals (A, B) from per-side segment tables (array-friendly).
 
@@ -201,16 +152,6 @@ def _boundary_ab(m, n, q, e1, e2, d):
     else:
         B = alt
     return A, B
-
-
-def boundary_ab(m: int, n: int, q: int, bases: dict) -> tuple[float, float]:
-    """Boundary integrals A[m,n,q], B[m,n,q] from three SegmentBasis objects."""
-    if m < 0 or n < 0 or m + n > 3:
-        raise ValueError("unsupported index pair (m, n)")
-    if q not in (-1, 1):
-        raise ValueError("q must be -1 or 1")
-    A, B = _boundary_ab(m, n, q, bases["e1"].s, bases["e2"].s, bases["d"].s)
-    return float(A), float(B)
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +219,8 @@ def _t001_arrays(xf, frame: TriangleFrame, eps: float, t003_param, gamma, side_s
     return (contour - gamma * gamma * frame.BH * t003_param) / frame.BH
 
 
-def t003(xf, frame: TriangleFrame, eps: float) -> float:
-    """Parameter-space moment integral T[0,0,3] (integrand 1/R**3)."""
-    value, _ = _t003_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
-    return float(value[0])
-
-
-def t001(xf, frame: TriangleFrame, eps: float, t003_value: float) -> float:
-    """Parameter-space moment integral T[0,0,1], given T[0,0,3]."""
-    xf = np.asarray(xf, dtype=float)[None, :]
-    z0 = (xf[0] - frame.y0) @ frame.nhat
-    gamma = np.sqrt(z0 * z0 + eps * eps)
-    side_s0p1 = [
-        _segment_tables(xf, ya, yb, eps)[(0, 1)]
-        for ya, yb, _ in _side_geometry(frame)
-    ]
-    value = _t001_arrays(xf, frame, eps, np.array([t003_value]), gamma, side_s0p1)
-    return float(value[0])
-
-
 # ---------------------------------------------------------------------------
 # full T table via the index recursions
-
-
-@dataclass(frozen=True)
-class TTable:
-    """The 13 moment integrals appearing in the triangle velocity formula."""
-
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
 
 
 def _t_table_arrays(xf, frame: TriangleFrame, eps: float) -> dict:
@@ -379,72 +291,14 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float) -> dict:
     }
 
 
-def t_table(xf, frame: TriangleFrame, eps: float) -> TTable:
-    """All 13 moment integrals for one field point."""
+def t_table(xf, frame: TriangleFrame, eps: float) -> dict:
+    """All 13 moment integrals for one field point, keyed by (m, n, q)."""
     arrays = _t_table_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
-    return TTable({k: float(v[0]) for k, v in arrays.items()})
+    return {k: float(v[0]) for k, v in arrays.items()}
 
 
 # ---------------------------------------------------------------------------
-# cubic-expansion vector coefficients and the velocity formula
-
-
-@dataclass(frozen=True)
-class PCoefficients:
-    """Vector coefficients of the cubic expansion of S . f in (alpha, beta)."""
-
-    P00: np.ndarray
-    P10: np.ndarray
-    P01: np.ndarray
-    P20: np.ndarray
-    P11: np.ndarray
-    P02: np.ndarray
-    P30: np.ndarray
-    P21: np.ndarray
-    P12: np.ndarray
-    P03: np.ndarray
-
-
-def p_coefficients(xf, frame: TriangleFrame, f0, f1, f2, eps: float) -> PCoefficients:
-    x0 = np.asarray(xf, dtype=float) - frame.y0
-    f0 = np.asarray(f0, dtype=float)
-    fa = np.asarray(f1, dtype=float) - f0
-    fb = np.asarray(f2, dtype=float) - np.asarray(f1, dtype=float)
-    v, w = frame.vhat, frame.what
-    L1, L2 = frame.L1, frame.L2
-    e2 = eps * eps
-    return PCoefficients(
-        P00=e2 * f0 + (f0 @ x0) * x0,
-        P10=e2 * fa + (L1 * (f0 @ v) + fa @ x0) * x0 + L1 * (f0 @ x0) * v,
-        P01=e2 * fb + (L2 * (f0 @ w) + fb @ x0) * x0 + L2 * (f0 @ x0) * w,
-        P20=L1 * (fa @ v) * x0 + (L1**2 * (f0 @ v) + L1 * (fa @ x0)) * v,
-        P11=(L1 * (fb @ v) + L2 * (fa @ w)) * x0
-        + (L1 * L2 * (f0 @ w) + L1 * (fb @ x0)) * v
-        + (L1 * L2 * (f0 @ v) + L2 * (fa @ x0)) * w,
-        P02=L2 * (fb @ w) * x0 + (L2**2 * (f0 @ w) + L2 * (fb @ x0)) * w,
-        P30=L1**2 * (fa @ v) * v,
-        P21=(L1 * L2 * (fa @ w) + L1**2 * (fb @ v)) * v + L1 * L2 * (fa @ v) * w,
-        P12=(L1 * L2 * (fb @ v) + L2**2 * (fa @ w)) * w + L1 * L2 * (fb @ w) * v,
-        P03=L2**2 * (fb @ w) * w,
-    )
-
-
-def triangle_velocity(xf, frame: TriangleFrame, f0, f1, f2, params: KernelParams):
-    """Velocity at xf induced by the linear force density (f0, f1, f2)."""
-    T = t_table(xf, frame, params.eps)
-    P = p_coefficients(xf, frame, f0, f1, f2, params.eps)
-    f0 = np.asarray(f0, dtype=float)
-    fa = np.asarray(f1, dtype=float) - f0
-    fb = np.asarray(f2, dtype=float) - np.asarray(f1, dtype=float)
-    total = (
-        f0 * T[(0, 0, 1)] + P.P00 * T[(0, 0, 3)]
-        + fa * T[(1, 0, 1)] + P.P10 * T[(1, 0, 3)]
-        + fb * T[(0, 1, 1)] + P.P01 * T[(0, 1, 3)]
-        + P.P20 * T[(2, 0, 3)] + P.P11 * T[(1, 1, 3)] + P.P02 * T[(0, 2, 3)]
-        + P.P30 * T[(3, 0, 3)] + P.P21 * T[(2, 1, 3)]
-        + P.P12 * T[(1, 2, 3)] + P.P03 * T[(0, 3, 3)]
-    )
-    return frame.BH / (8.0 * np.pi * params.mu) * total
+# the velocity formula as 3x3 blocks acting on the vertex forces
 
 
 def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
@@ -489,29 +343,11 @@ def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
     return M0, M1, M2
 
 
-# ---------------------------------------------------------------------------
-# per-triangle net force and torque of the linear density
-
-
-def triangle_net_force(frame: TriangleFrame, f0, f1, f2) -> np.ndarray:
-    """Integral of the linear force density over the triangle."""
+def triangle_velocity(xf, frame: TriangleFrame, f0, f1, f2, params: KernelParams):
+    """Velocity at xf induced by the linear force density (f0, f1, f2)."""
+    M0, M1, M2 = _velocity_blocks(np.asarray(xf, dtype=float)[None, :], frame, params)
     return (
-        frame.BH
-        / 6.0
-        * (np.asarray(f0, dtype=float) + np.asarray(f1, dtype=float) + np.asarray(f2, dtype=float))
-    )
-
-
-def triangle_net_torque(frame: TriangleFrame, f0, f1, f2, yc) -> np.ndarray:
-    """Integral of (y - yc) x f over the triangle for the linear density."""
-    y0, y1, y2 = frame.y0, frame.y1, frame.y2
-    yc = np.asarray(yc, dtype=float)
-    return (
-        frame.BH
-        / 24.0
-        * (
-            np.cross(2 * y0 + y1 + y2 - 4 * yc, np.asarray(f0, dtype=float))
-            + np.cross(y0 + 2 * y1 + y2 - 4 * yc, np.asarray(f1, dtype=float))
-            + np.cross(y0 + y1 + 2 * y2 - 4 * yc, np.asarray(f2, dtype=float))
-        )
+        M0[0] @ np.asarray(f0, dtype=float)
+        + M1[0] @ np.asarray(f1, dtype=float)
+        + M2[0] @ np.asarray(f2, dtype=float)
     )

@@ -5,6 +5,9 @@ the corresponding exterior Stokes flow through the forward velocity map
 u(x) = (1/8 pi mu) * integral of S . f: that is, the force the body exerts on
 the fluid. The drag/torque exerted by the fluid on the body is the negative
 of the integral of these densities.
+
+Functions of a surface or field point take one point of shape (3,) or an
+array of points of shape (..., 3), and return arrays of matching shape.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ def sphere_translation_reference(x, a: float, U, mu: float):
     """
     x = np.asarray(x, dtype=float)
     U = np.asarray(U, dtype=float)
-    traction = 3.0 * mu / (2.0 * a) * U
-    r = np.linalg.norm(x)
+    traction = np.broadcast_to(3.0 * mu / (2.0 * a) * U, x.shape).copy()
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
     u = (a / (4.0 * r)) * (3.0 + a**2 / r**2) * U + (
-        3.0 * a * (x @ U) / (4.0 * r**2)
+        3.0 * a * (x @ U)[..., None] / (4.0 * r**2)
     ) * (1.0 - a**2 / r**2) * x / r
     return traction, u
 
@@ -56,11 +59,9 @@ def sphere_rotation_reference(x, a: float, Omega, mu: float):
     field a^3 (Omega x X) / r^3, equal to Omega x X on the surface.
     """
     x = np.asarray(x, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
-    traction = 3.0 * mu / a * np.cross(Omega, x)
-    r = np.linalg.norm(x)
-    u = a**3 * np.cross(Omega, x) / r**3
-    return traction, u
+    swirl = np.cross(np.asarray(Omega, dtype=float), x)
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    return 3.0 * mu / a * swirl, a**3 * swirl / r**3
 
 
 def spheroid_net_torque(a: float, b: float, mu: float) -> np.ndarray:
@@ -84,9 +85,10 @@ def spheroid_rotation_reference(x, a: float, b: float, mu: float):
     x = np.asarray(x, dtype=float)
     M = spheroid_net_torque(a, b, mu)
     # outward normal of x^2/b^2 + y^2/b^2 + z^2/a^2 = 1
-    grad = np.array([x[0] / b**2, x[1] / b**2, x[2] / a**2])
-    nhat = grad / np.linalg.norm(grad)
-    traction = -3.0 * (nhat @ x) / (8.0 * np.pi * a * b**4) * np.cross(M, x)
+    grad = x / np.array([b**2, b**2, a**2])
+    nhat = grad / np.linalg.norm(grad, axis=-1, keepdims=True)
+    n_dot_x = np.sum(nhat * x, axis=-1, keepdims=True)
+    traction = -3.0 * n_dot_x / (8.0 * np.pi * a * b**4) * np.cross(M, x)
     return traction, M
 
 
@@ -97,13 +99,14 @@ def squirmer_reference(r: float, theta: float, a: float, B1: float = 1.5):
     return s * np.cos(theta), 0.5 * s * np.sin(theta)
 
 
-def squirmer_slip(theta: float, phi: float, B1: float = 1.5) -> np.ndarray:
+def squirmer_slip(theta, phi, B1: float = 1.5) -> np.ndarray:
     """Cartesian slip velocity B1 * V1(cos theta) * theta_hat on the unit
-    sphere, with V1(c) = sqrt(1 - c^2)."""
+    sphere, with V1(c) = sqrt(1 - c^2). theta and phi are floats, giving
+    shape (3,), or 1-D arrays of one length N, giving shape (N, 3)."""
     that = np.array(
         [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)]
     )
-    return B1 * np.sin(theta) * that
+    return (B1 * np.sin(theta) * that).T
 
 
 def pipe_reference(y, z, a: float, b: float, dP: float, mu: float,

@@ -25,12 +25,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .geometry import TriMesh
-from .kernel import (
-    KernelParams,
-    _velocity_blocks,
-    triangle_net_force,
-    triangle_net_torque,
-)
+from .kernel import KernelParams, _velocity_blocks
 
 __all__ = [
     "evaluate_velocity",
@@ -59,6 +54,7 @@ def _as_points(points):
 
 def evaluate_velocity(mesh: TriMesh, forces, points, params: KernelParams) -> np.ndarray:
     """Velocity at arbitrary points from vertex force densities, shape (M, 3)."""
+    params.validate_for_mesh(mesh)
     forces = np.asarray(forces, dtype=float)
     if forces.shape != (mesh.num_vertices, 3):
         raise ValueError("forces must have shape (num_vertices, 3)")
@@ -116,23 +112,45 @@ def condition_number(matrix) -> float:
     return float(np.linalg.cond(np.asarray(matrix, dtype=float)))
 
 
+def _skew(r):
+    """Matrices K with K @ f = r x f, for r of shape (..., 3).
+
+    Row i of K is e_i x r, because (e_i x r) . f = (r x f) . e_i.
+    """
+    return np.cross(np.eye(3), r[..., None, :])
+
+
+def _vertex_moments(mesh: TriMesh, center):
+    """Force weights w, shape (N,), and torque blocks C, shape (N, 3, 3).
+
+    For vertex force densities f the exact surface integrals of the linear
+    interpolant are: net force sum_j w[j] f[j], and net torque about `center`
+    sum_j C[j] @ f[j]. On a face of area BH/2 each corner's hat function
+    integrates to BH/6, and its first moment is BH/24 (y0 + y1 + y2 + y_j).
+    """
+    n = mesh.num_vertices
+    bh = np.array([frame.BH for frame in mesh.frames])
+    corners = mesh.vertices[mesh.faces]  # (F, 3, 3): face, corner, xyz
+    center = np.asarray(center, dtype=float)
+    lever = corners.sum(axis=1)[:, None, :] + corners - 4.0 * center
+    weights = np.zeros(n)
+    np.add.at(weights, mesh.faces, (bh / 6.0)[:, None])
+    blocks = np.zeros((n, 3, 3))
+    np.add.at(blocks, mesh.faces, (bh / 24.0)[:, None, None, None] * _skew(lever))
+    return weights, blocks
+
+
 def net_force(mesh: TriMesh, forces) -> np.ndarray:
     """Total force: integral of the piecewise-linear density over the surface."""
-    forces = np.asarray(forces, dtype=float)
-    total = np.zeros(3)
-    for face, frame in zip(mesh.faces, mesh.frames):
-        total += triangle_net_force(frame, *forces[face])
-    return total
+    weights, _ = _vertex_moments(mesh, np.zeros(3))
+    return weights @ np.asarray(forces, dtype=float)
 
 
 def net_torque(mesh: TriMesh, forces, center=None) -> np.ndarray:
     """Total torque about `center` (default: vertex centroid)."""
-    forces = np.asarray(forces, dtype=float)
-    yc = mesh.vertex_centroid() if center is None else np.asarray(center, dtype=float)
-    total = np.zeros(3)
-    for face, frame in zip(mesh.faces, mesh.frames):
-        total += triangle_net_torque(frame, *forces[face], yc)
-    return total
+    yc = mesh.vertex_centroid() if center is None else center
+    _, blocks = _vertex_moments(mesh, yc)
+    return np.einsum("nij,nj->i", blocks, np.asarray(forces, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -144,14 +162,6 @@ class SwimmerSolution:
     Omega: np.ndarray   # (3,) rigid rotation
 
 
-def _skew(r):
-    return np.array([
-        [0.0, -r[2], r[1]],
-        [r[2], 0.0, -r[0]],
-        [-r[1], r[0], 0.0],
-    ])
-
-
 def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
                   center=None) -> SwimmerSolution:
     """Solve for forces and rigid motion given a prescribed surface slip.
@@ -161,33 +171,20 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
     augmented by zero net force and zero net torque about the body center c
     (default: vertex centroid), making the (3N + 6) system square.
     """
-    params.validate_for_mesh(mesh)
     slip = np.asarray(slip, dtype=float)
     n = mesh.num_vertices
     if slip.shape != (n, 3):
         raise ValueError("slip must have shape (num_vertices, 3)")
     c = mesh.vertex_centroid() if center is None else np.asarray(center, dtype=float)
-    r = mesh.vertices - c
 
     size = 3 * n + 6
     A = np.zeros((size, size))
     A[: 3 * n, : 3 * n] = assemble_resistance(mesh, params)
-    for i in range(n):
-        A[3 * i : 3 * i + 3, 3 * n : 3 * n + 3] = -np.eye(3)
-        A[3 * i : 3 * i + 3, 3 * n + 3 :] = _skew(r[i])
-
-    # force balance: per-vertex weights are exact integrals of the linear basis
-    force_w = np.zeros(n)
-    torque_c = np.zeros((n, 3, 3))
-    for face, frame in zip(mesh.faces, mesh.frames):
-        force_w[face] += frame.BH / 6.0
-        ysum = frame.y0 + frame.y1 + frame.y2
-        for j in face:
-            g = ysum + mesh.vertices[j] - 4.0 * c
-            torque_c[j] += frame.BH / 24.0 * _skew(g)
-    for j in range(n):
-        A[3 * n : 3 * n + 3, 3 * j : 3 * j + 3] = force_w[j] * np.eye(3)
-        A[3 * n + 3 :, 3 * j : 3 * j + 3] = torque_c[j]
+    A[: 3 * n, 3 * n : 3 * n + 3] = np.tile(-np.eye(3), (n, 1))
+    A[: 3 * n, 3 * n + 3 :] = _skew(mesh.vertices - c).reshape(3 * n, 3)
+    weights, blocks = _vertex_moments(mesh, c)
+    A[3 * n : 3 * n + 3, : 3 * n] = np.kron(weights, np.eye(3))
+    A[3 * n + 3 :, : 3 * n] = blocks.transpose(1, 0, 2).reshape(3, 3 * n)
 
     b = np.zeros(size)
     b[: 3 * n] = slip.reshape(-1)
@@ -201,13 +198,6 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
 
 # ---------------------------------------------------------------------------
 # baseline 1: point Stokeslets with vertex-lumped quadrature weights
-
-
-def _vertex_weights(mesh: TriMesh) -> np.ndarray:
-    w = np.zeros(mesh.num_vertices)
-    for face, frame in zip(mesh.faces, mesh.frames):
-        w[face] += frame.BH / 6.0  # one third of the triangle area
-    return w
 
 
 def _stokeslet_batch(pts, sources, eps):
@@ -229,7 +219,7 @@ def baseline_mrs_velocity(mesh: TriMesh, forces, points, params: KernelParams):
     """Velocity from weighted point Stokeslets at the vertices."""
     forces = np.asarray(forces, dtype=float)
     pts = _as_points(points)
-    w = _vertex_weights(mesh)
+    w, _ = _vertex_moments(mesh, np.zeros(3))
     S = _stokeslet_batch(pts, mesh.vertices, params.eps)
     return np.einsum("mnij,nj->mi", S, w[:, None] * forces) / (8.0 * np.pi * params.mu)
 
@@ -237,7 +227,7 @@ def baseline_mrs_velocity(mesh: TriMesh, forces, points, params: KernelParams):
 def mrs_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
     params.validate_for_mesh(mesh)
     n = mesh.num_vertices
-    w = _vertex_weights(mesh)
+    w, _ = _vertex_moments(mesh, np.zeros(3))
     S = _stokeslet_batch(mesh.vertices, mesh.vertices, params.eps)
     A = S * w[None, :, None, None] / (8.0 * np.pi * params.mu)
     return A.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
@@ -280,6 +270,7 @@ def baseline_constant_solve(mesh: TriMesh, centroid_velocities,
 
 def constant_evaluate_velocity(mesh: TriMesh, face_forces, points,
                                params: KernelParams) -> np.ndarray:
+    params.validate_for_mesh(mesh)
     face_forces = np.asarray(face_forces, dtype=float)
     pts = _as_points(points)
     u = np.zeros_like(pts)

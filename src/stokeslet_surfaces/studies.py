@@ -177,9 +177,7 @@ def _forward_sphere(report, params, kind):
             target = np.tile(U, (mesh.num_vertices, 1))
         else:
             Om = np.array([0.0, 0.0, 1.0])
-            tractions = np.array(
-                [ref.sphere_rotation_reference(v, a, Om, mu)[0] for v in mesh.vertices]
-            )
+            tractions = ref.sphere_rotation_reference(mesh.vertices, a, Om, mu)[0]
             target = np.cross(Om, mesh.vertices)
         for eps in _grid(params, "eps_values", (1e-4,)):
             kp = KernelParams(eps=eps, mu=mu)
@@ -245,9 +243,7 @@ def _forward_spheroid(report, params):
         for f in _grid(params, "f_values", (4, 5, 6)):
             mesh = make_spheroid_mesh(f, a, b, grading=grading)
             stats = mesh_stats(mesh)
-            tractions = np.array(
-                [ref.spheroid_rotation_reference(v, a, b, mu)[0] for v in mesh.vertices]
-            )
+            tractions = ref.spheroid_rotation_reference(mesh.vertices, a, b, mu)[0]
             target = np.cross([0.0, 0.0, 1.0], mesh.vertices)
             for eps in _grid(params, "eps_values", (1e-4,)):
                 kp = KernelParams(eps=eps, mu=mu)
@@ -278,7 +274,7 @@ def _squirmer(report, params):
         r = np.linalg.norm(mesh.vertices, axis=1)
         theta = np.arccos(np.clip(z / r, -1.0, 1.0))
         phi = np.arctan2(y, x)
-        slip = np.array([ref.squirmer_slip(t, p, B1) for t, p in zip(theta, phi)])
+        slip = ref.squirmer_slip(theta, phi, B1)
         for eps in _grid(params, "eps_values", (1e-4,)):
             kp = KernelParams(eps=eps, mu=mu)
             sol = solver.solve_swimmer(mesh, slip, kp, center=np.zeros(3))
@@ -300,9 +296,7 @@ def _linear_vs_constant(report, params):
     for f in _grid(params, "f_values", range(2, 7)):
         mesh = make_icosphere(f, radius=a)
         stats = mesh_stats(mesh)
-        tractions = np.array(
-            [ref.sphere_rotation_reference(v, a, Om, mu)[0] for v in mesh.vertices]
-        )
+        tractions = ref.sphere_rotation_reference(mesh.vertices, a, Om, mu)[0]
         target = np.cross(Om, mesh.vertices)
         face_tractions = tractions[mesh.faces].mean(axis=1)
         for eps in _grid(params, "eps_values", (1e-4,)):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from stokeslet_surfaces import read_mesh, sphere_translation_reference
+from stokeslet_surfaces import (
+    TriMesh,
+    read_mesh,
+    sphere_translation_reference,
+    write_mesh,
+)
 from stokeslet_surfaces.cli import (
     EXIT_FLOOR,
     EXIT_IO,
@@ -96,6 +101,8 @@ def test_study_mesh_file_not_needed_for_eval_from_file(tmp_path):
     assert main(["eval", "--mesh-file", str(mesh_path), "--point", "5,0,0"]) == EXIT_OK
 
 
-def test_thread_env_hint(monkeypatch, capsys):
-    monkeypatch.setenv("STOKESLET_SURFACES_THREADS", "1")
-    assert main(["solve", "--problem", "drag", "--f", "2"]) == EXIT_OK
+def test_degenerate_mesh_file_is_mesh_error(tmp_path, capsys):
+    mesh_path = tmp_path / "collinear.mesh"
+    write_mesh(TriMesh([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]], [[0, 1, 2]]), mesh_path)
+    assert main(["eval", "--mesh-file", str(mesh_path), "--point", "5,0,0"]) == EXIT_IO
+    assert "collinear" in capsys.readouterr().err

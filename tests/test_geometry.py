@@ -147,6 +147,9 @@ def test_mesh_io_rejects_malformed(tmp_path):
     path.write_text("x y\n")
     with pytest.raises(MeshFormatError):
         read_mesh(path)
+    path.write_text("3 1\n0 0 0\n1 0 0\n0 1 0\n0 1 2\n7\n")
+    with pytest.raises(MeshFormatError):
+        read_mesh(path)
 
 
 def test_merged_mesh_offsets_faces():

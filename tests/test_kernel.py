@@ -4,22 +4,22 @@ import pytest
 from stokeslet_surfaces import (
     FloatingFloorError,
     KernelParams,
-    SegmentBasis,
-    boundary_ab,
+    TriMesh,
     epsilon_floor,
     make_icosphere,
+    net_force,
+    net_torque,
     point_stokeslet,
-    segment_base,
-    segment_recurse,
-    t001,
-    t003,
     t_table,
     triangle_frame,
-    triangle_net_force,
-    triangle_net_torque,
     triangle_velocity,
 )
-from stokeslet_surfaces.kernel import _velocity_blocks
+from stokeslet_surfaces.kernel import (
+    _boundary_ab,
+    _segment_tables,
+    _t001_arrays,
+    _t003_arrays,
+)
 
 import oracles
 
@@ -38,12 +38,20 @@ def test_point_stokeslet_structure():
     assert np.allclose(S0, 2.0 / 0.1 * np.eye(3))
 
 
+def _segment(xf, a, b, eps, with_s1m1=False):
+    """Segment integrals S[m, q] at one field point, as floats."""
+    table = _segment_tables(np.asarray(xf, dtype=float)[None, :], a, b, eps,
+                            with_s1m1=with_s1m1)
+    return {k: float(v[0]) for k, v in table.items() if isinstance(k, tuple)}
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_segment_base_matches_quadrature(seed):
     rng = np.random.default_rng(seed)
     a, b, xf = rng.normal(size=(3, 3))
     eps = 10 ** rng.uniform(-2, 0)
-    s0m1, s0p1 = segment_base(xf, a, b, eps)
+    s = _segment(xf, a, b, eps)
+    s0m1, s0p1 = s[(0, -1)], s[(0, 1)]
     assert s0m1 == pytest.approx(
         oracles.segment_integral_quadrature(xf, a, b, eps, 0, -1), rel=1e-10
     )
@@ -57,12 +65,10 @@ def test_segment_recurse_matches_quadrature(seed):
     rng = np.random.default_rng(100 + seed)
     a, b, xf = rng.normal(size=(3, 3))
     eps = 10 ** rng.uniform(-2, 0)
-    basis = SegmentBasis(direction="e1")
-    basis.s[(0, -1)], basis.s[(0, 1)] = segment_base(xf, a, b, eps)
-    segment_recurse(basis, xf, a, b, eps, with_s1m1=True)
+    s = _segment(xf, a, b, eps, with_s1m1=True)
     for (m, q) in [(1, 1), (2, 1), (1, -1)]:
         ref = oracles.segment_integral_quadrature(xf, a, b, eps, m, q)
-        assert basis.s[(m, q)] == pytest.approx(ref, rel=1e-9, abs=1e-13)
+        assert s[(m, q)] == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
 def test_segment_base_near_collinear_field_point():
@@ -71,7 +77,8 @@ def test_segment_base_near_collinear_field_point():
     b = np.array([1.0, 0.0, 0.0])
     xf = np.array([1.7, 1e-9, 0.0])
     eps = 1e-2
-    s0m1, s0p1 = segment_base(xf, a, b, eps)
+    s = _segment(xf, a, b, eps)
+    s0m1, s0p1 = s[(0, -1)], s[(0, 1)]
     assert np.isfinite(s0m1) and np.isfinite(s0p1)
     assert s0m1 == pytest.approx(
         oracles.segment_integral_quadrature(xf, a, b, eps, 0, -1), rel=1e-9
@@ -81,19 +88,14 @@ def test_segment_base_near_collinear_field_point():
     )
 
 
+def _sides(frame):
+    """The sides y0->y1 (e1), y1->y2 (e2) and y2->y0 (d) in traversal order."""
+    return ((frame.y0, frame.y1), (frame.y1, frame.y2), (frame.y2, frame.y0))
+
+
 def _side_bases(frame, xf, eps):
-    sides = {
-        "e1": (frame.y0, frame.y1),
-        "e2": (frame.y1, frame.y2),
-        "d": (frame.y2, frame.y0),
-    }
-    bases = {}
-    for name, (a, b) in sides.items():
-        basis = SegmentBasis(direction=name)
-        basis.s[(0, -1)], basis.s[(0, 1)] = segment_base(xf, a, b, eps)
-        segment_recurse(basis, xf, a, b, eps)
-        bases[name] = basis
-    return bases
+    return dict(zip(("e1", "e2", "d"),
+                    (_segment(xf, a, b, eps) for a, b in _sides(frame))))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -105,15 +107,15 @@ def test_boundary_ab_matches_direct_combination(seed):
     import math
 
     for (m, n) in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-        A, B = boundary_ab(m, n, 1, bases)
+        A, B = _boundary_ab(m, n, 1, bases["e1"], bases["e2"], bases["d"])
         dsum = sum(
-            math.comb(m + n, k) * (-1) ** k * bases["d"].s[(k, 1)]
+            math.comb(m + n, k) * (-1) ** k * bases["d"][(k, 1)]
             for k in range(m + n + 1)
         )
-        assert A == pytest.approx(bases["e2"].s[(n, 1)] - dsum, rel=1e-12, abs=1e-14)
+        assert A == pytest.approx(bases["e2"][(n, 1)] - dsum, rel=1e-12, abs=1e-14)
         if n == 0:
-            expected = -bases["e1"].s[(m, 1)] + sum(
-                math.comb(m, k) * (-1) ** k * bases["d"].s[(k, 1)]
+            expected = -bases["e1"][(m, 1)] + sum(
+                math.comb(m, k) * (-1) ** k * bases["d"][(k, 1)]
                 for k in range(m + 1)
             )
         else:
@@ -121,25 +123,23 @@ def test_boundary_ab_matches_direct_combination(seed):
         assert B == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
-def test_boundary_ab_rejects_bad_indices():
-    rng = np.random.default_rng(0)
-    frame, xf, _, eps = oracles.random_triangle_case(rng)
-    bases = _side_bases(frame, xf, eps)
-    with pytest.raises(ValueError):
-        boundary_ab(0, 0, 2, bases)
-    with pytest.raises(ValueError):
-        boundary_ab(3, 1, 1, bases)
+def _t003(xf, frame, eps):
+    value, _ = _t003_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
+    return float(value[0])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_t003_t001_match_quadrature(seed):
     rng = np.random.default_rng(300 + seed)
     frame, xf, _, eps = oracles.random_triangle_case(rng)
-    v3 = t003(xf, frame, eps)
+    xb = xf[None, :]
+    t003_values, gamma = _t003_arrays(xb, frame, eps)
+    v3 = float(t003_values[0])
     assert v3 == pytest.approx(
         oracles.t_integral_quadrature(xf, frame, eps, 0, 0, 3), rel=1e-9
     )
-    v1 = t001(xf, frame, eps, v3)
+    side_s0p1 = [_segment_tables(xb, a, b, eps)[(0, 1)] for a, b in _sides(frame)]
+    v1 = float(_t001_arrays(xb, frame, eps, t003_values, gamma, side_s0p1)[0])
     assert v1 == pytest.approx(
         oracles.t_integral_quadrature(xf, frame, eps, 0, 0, 1), rel=1e-9
     )
@@ -150,7 +150,7 @@ def test_t003_in_plane_point():
     frame = triangle_frame([0.0, 0, 0], [1.0, 0, 0], [0.3, 0.9, 0])
     xf = np.array([0.41, 0.33, 0.0])
     eps = 0.05
-    got = t003(xf, frame, eps)
+    got = _t003(xf, frame, eps)
     assert got == pytest.approx(
         oracles.t_integral_quadrature(xf, frame, eps, 0, 0, 3), rel=1e-8
     )
@@ -162,7 +162,7 @@ def test_t003_far_field_limit():
     xf = centroid + np.array([0.0, 0.0, 50.0])
     d = np.linalg.norm(xf - centroid)
     # the parameter-space integral tends to (1/2) / d^3 at large distance
-    assert t003(xf, frame, 1e-3) == pytest.approx(0.5 / d**3, rel=1e-4)
+    assert _t003(xf, frame, 1e-3) == pytest.approx(0.5 / d**3, rel=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -236,13 +236,46 @@ def test_triangle_velocity_rigid_motion_equivariance():
     assert np.allclose(u_rot, Q @ u, rtol=1e-10, atol=1e-13)
 
 
+def _p_expansion_velocity(xf, frame, f0, f1, f2, params):
+    """The velocity formula written term by term: 13 T integrals, each times
+    the vector coefficient P[m,n] of alpha**m beta**n in the cubic expansion
+    of (eps**2 I + (x - y)(x - y)^T) f. Reference for the block combination."""
+    eps = params.eps
+    T = t_table(xf, frame, eps)
+    x0 = np.asarray(xf, dtype=float) - frame.y0
+    fa, fb = f1 - f0, f2 - f1
+    v, w = frame.vhat, frame.what
+    L1, L2 = frame.L1, frame.L2
+    e2 = eps * eps
+    P00 = e2 * f0 + (f0 @ x0) * x0
+    P10 = e2 * fa + (L1 * (f0 @ v) + fa @ x0) * x0 + L1 * (f0 @ x0) * v
+    P01 = e2 * fb + (L2 * (f0 @ w) + fb @ x0) * x0 + L2 * (f0 @ x0) * w
+    P20 = L1 * (fa @ v) * x0 + (L1**2 * (f0 @ v) + L1 * (fa @ x0)) * v
+    P11 = ((L1 * (fb @ v) + L2 * (fa @ w)) * x0
+           + (L1 * L2 * (f0 @ w) + L1 * (fb @ x0)) * v
+           + (L1 * L2 * (f0 @ v) + L2 * (fa @ x0)) * w)
+    P02 = L2 * (fb @ w) * x0 + (L2**2 * (f0 @ w) + L2 * (fb @ x0)) * w
+    P30 = L1**2 * (fa @ v) * v
+    P21 = (L1 * L2 * (fa @ w) + L1**2 * (fb @ v)) * v + L1 * L2 * (fa @ v) * w
+    P12 = (L1 * L2 * (fb @ v) + L2**2 * (fa @ w)) * w + L1 * L2 * (fb @ w) * v
+    P03 = L2**2 * (fb @ w) * w
+    total = (
+        f0 * T[(0, 0, 1)] + P00 * T[(0, 0, 3)]
+        + fa * T[(1, 0, 1)] + P10 * T[(1, 0, 3)]
+        + fb * T[(0, 1, 1)] + P01 * T[(0, 1, 3)]
+        + P20 * T[(2, 0, 3)] + P11 * T[(1, 1, 3)] + P02 * T[(0, 2, 3)]
+        + P30 * T[(3, 0, 3)] + P21 * T[(2, 1, 3)]
+        + P12 * T[(1, 2, 3)] + P03 * T[(0, 3, 3)]
+    )
+    return frame.BH / (8.0 * np.pi * params.mu) * total
+
+
 def test_velocity_blocks_match_triangle_velocity():
     rng = np.random.default_rng(9)
     frame, xf, forces, eps = oracles.random_triangle_case(rng)
     params = KernelParams(eps=eps, mu=1.7)
-    M0, M1, M2 = _velocity_blocks(xf[None, :], frame, params)
-    via_blocks = M0[0] @ forces[0] + M1[0] @ forces[1] + M2[0] @ forces[2]
-    direct = triangle_velocity(xf, frame, *forces, params)
+    via_blocks = triangle_velocity(xf, frame, *forces, params)
+    direct = _p_expansion_velocity(xf, frame, *forces, params)
     assert np.allclose(via_blocks, direct, rtol=1e-12, atol=1e-15)
 
 
@@ -269,8 +302,9 @@ def test_net_force_and_torque_match_quadrature():
     rng = np.random.default_rng(11)
     frame, _, forces, _ = oracles.random_triangle_case(rng)
     yc = rng.normal(size=3)
-    F = triangle_net_force(frame, *forces)
-    T = triangle_net_torque(frame, *forces, yc)
+    mesh = TriMesh([frame.y0, frame.y1, frame.y2], [[0, 1, 2]])
+    F = net_force(mesh, forces)
+    T = net_torque(mesh, forces, center=yc)
     f0, fa, fb = forces[0], forces[1] - forces[0], forces[2] - forces[1]
 
     def quad_vec(fn):

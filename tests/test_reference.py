@@ -90,6 +90,27 @@ def test_squirmer_reference_values():
     assert (2.0 / 3.0) * 1.5 == 1.0
 
 
+def test_point_arrays_match_single_points():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(6, 3))
+    theta, phi = rng.uniform(0.0, np.pi, size=(2, 6))
+
+    def evaluate(x, th, ph):
+        return {
+            "translate": sphere_translation_reference(x, 1.0, [1.0, 0.2, 0.0], 1.3),
+            "rotate": sphere_rotation_reference(x, 1.0, [0.0, 0.3, 1.0], 1.3),
+            "spheroid": spheroid_rotation_reference(x, 3.0, 1.0, 1.3)[:1],
+            "slip": (squirmer_slip(th, ph, 1.2),),
+        }
+
+    batch = evaluate(pts, theta, phi)
+    for i in range(6):
+        for key, single in evaluate(pts[i], theta[i], phi[i]).items():
+            for got, expect in zip(batch[key], single):
+                assert expect.shape == (3,), key
+                assert np.allclose(got[i], expect, rtol=1e-14, atol=0), key
+
+
 def test_squirmer_slip_poles_and_direction():
     assert np.allclose(squirmer_slip(0.0, 0.3), 0.0)
     s = squirmer_slip(np.pi / 2, 0.0)

@@ -25,7 +25,7 @@ from stokeslet_surfaces import (
     triangle_velocity,
     TriMesh,
 )
-from stokeslet_surfaces.solver import _vertex_weights
+from stokeslet_surfaces.solver import _vertex_moments
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +149,22 @@ def test_solve_singular_system_raises(small_sphere):
         )
 
 
-def test_floor_validation_in_assembly(small_sphere):
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda mesh, params: assemble_resistance(mesh, params),
+        lambda mesh, params: evaluate_velocity(
+            mesh, np.ones((mesh.num_vertices, 3)), [[2.0, 0.0, 0.0]], params
+        ),
+        lambda mesh, params: constant_evaluate_velocity(
+            mesh, np.ones((mesh.num_faces, 3)), [[2.0, 0.0, 0.0]], params
+        ),
+    ],
+    ids=["assemble_resistance", "evaluate_velocity", "constant_evaluate_velocity"],
+)
+def test_floor_validation_in_assembly(small_sphere, entry):
     with pytest.raises(FloatingFloorError):
-        assemble_resistance(small_sphere, KernelParams(eps=1e-12))
+        entry(small_sphere, KernelParams(eps=1e-12))
 
 
 def test_condition_number_basics():
@@ -205,7 +218,7 @@ def test_swimmer_mirror_symmetry(small_sphere):
 
 
 def test_mrs_weights_sum_to_area(small_sphere):
-    w = _vertex_weights(small_sphere)
+    w, _ = _vertex_moments(small_sphere, np.zeros(3))
     total_area = sum(frame.BH / 2.0 for frame in small_sphere.frames)
     assert w.sum() == pytest.approx(total_area, rel=1e-12)
 

@@ -1,9 +1,9 @@
 """Triangle meshes and their per-triangle geometric frames.
 
-Meshes are indexed triangle surfaces. Each face carries a cached frame with
-the quantities the analytic kernel needs: the two edge directions vhat
-(y0 - y1) and what (y1 - y2), the edge lengths L1, L2, twice the triangle
-area BH, and the unit normal nhat.
+Meshes are indexed triangle surfaces. A mesh caches one struct-of-arrays
+frame of its faces with the quantities the analytic kernel needs: the two
+edge directions vhat (y0 - y1) and what (y1 - y2), the edge lengths L1, L2,
+twice the triangle area BH, and the unit normal nhat.
 
 Closed surfaces (sphere, spheroid, box) are oriented counter-clockwise seen
 from outside, so nhat points into the surrounding fluid. Pipe walls are the
@@ -13,7 +13,7 @@ exception: their normals point into the interior, where the fluid lives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -37,38 +37,59 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TriangleFrame:
-    """Cached geometry of one flat triangle (y0, y1, y2)."""
+    """Geometry of F flat triangles (y0, y1, y2), one row per triangle.
+
+    y0, y1, y2, vhat, what and nhat have shape (F, 3); L1, L2 and BH have
+    shape (F,).
+    """
 
     y0: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
-    vhat: np.ndarray  # unit vector along y0 - y1
-    what: np.ndarray  # unit vector along y1 - y2
-    L1: float
-    L2: float
-    BH: float  # twice the triangle area
-    nhat: np.ndarray  # unit normal, right-handed for (y0, y1, y2)
+    vhat: np.ndarray  # unit vectors along y0 - y1
+    what: np.ndarray  # unit vectors along y1 - y2
+    L1: np.ndarray
+    L2: np.ndarray
+    BH: np.ndarray  # twice the triangle areas
+    nhat: np.ndarray  # unit normals, right-handed for (y0, y1, y2)
+
+    def select(self, index) -> "TriangleFrame":
+        """The frames of the triangles picked by a slice, mask or index array."""
+        return TriangleFrame(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+def _row_dot(a, b):
+    """Dot products of the rows of a, shape (F, M, 3), with b, shape (F, 3).
+
+    Returns shape (F, M). Computed as the matrix products a[p] @ b[p], so
+    the values equal those of a per-face `a[p] @ b[p]` exactly.
+    """
+    return (a @ b[:, :, None])[..., 0]
 
 
 def triangle_frame(y0, y1, y2) -> TriangleFrame:
-    """Build the frame for one triangle, rejecting degenerate geometry."""
-    y0 = np.asarray(y0, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
+    """Frames of triangles with corners of shape (F, 3), or (3,) for one.
+
+    One triangle gives the one-face frame (F = 1). Degenerate geometry in
+    any triangle is rejected.
+    """
+    y0 = np.atleast_2d(np.asarray(y0, dtype=float))
+    y1 = np.atleast_2d(np.asarray(y1, dtype=float))
+    y2 = np.atleast_2d(np.asarray(y2, dtype=float))
     e1 = y0 - y1
     e2 = y1 - y2
-    L1 = float(np.linalg.norm(e1))
-    L2 = float(np.linalg.norm(e2))
-    if L1 == 0.0 or L2 == 0.0:
+    L1 = np.sqrt(_row_dot(e1[:, None], e1)[:, 0])
+    L2 = np.sqrt(_row_dot(e2[:, None], e2)[:, 0])
+    if np.any(L1 == 0.0) or np.any(L2 == 0.0):
         raise DegenerateTriangleError("triangle has a zero-length side")
-    vhat = e1 / L1
-    what = e2 / L2
+    vhat = e1 / L1[:, None]
+    what = e2 / L2[:, None]
     cross = np.cross(y1 - y0, y2 - y0)
-    BH = float(np.linalg.norm(cross))
-    c = float(vhat @ what)
-    if c * c >= 1.0 - 1e-12 or BH < 1e-14 * L1 * L2:
+    BH = np.sqrt(_row_dot(cross[:, None], cross)[:, 0])
+    c = _row_dot(vhat[:, None], what)[:, 0]
+    if np.any((c * c >= 1.0 - 1e-12) | (BH < 1e-14 * L1 * L2)):
         raise DegenerateTriangleError("triangle vertices are (near-)collinear")
-    nhat = cross / BH
+    nhat = cross / BH[:, None]
     return TriangleFrame(y0, y1, y2, vhat, what, L1, L2, BH, nhat)
 
 
@@ -81,7 +102,7 @@ class MeshStats:
 
 
 class TriMesh:
-    """Immutable indexed triangle surface with cached per-face frames."""
+    """Immutable indexed triangle surface with cached face frames."""
 
     def __init__(self, vertices, faces, validate: bool = True):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
@@ -92,7 +113,7 @@ class TriMesh:
             raise MeshFormatError("faces must be an (F, 3) array")
         if validate:
             self._validate()
-        self._frames: list[TriangleFrame] | None = None
+        self._frames: TriangleFrame | None = None
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
 
@@ -124,12 +145,11 @@ class TriMesh:
         return len(self.faces)
 
     @property
-    def frames(self) -> list[TriangleFrame]:
+    def frames(self) -> TriangleFrame:
+        """Frames of all faces, row p for face p."""
         if self._frames is None:
-            v = self.vertices
-            self._frames = [
-                triangle_frame(v[a], v[b], v[c]) for a, b, c in self.faces
-            ]
+            v = self.vertices[self.faces]
+            self._frames = triangle_frame(v[:, 0], v[:, 1], v[:, 2])
         return self._frames
 
     def face_centroids(self) -> np.ndarray:
@@ -169,12 +189,11 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
     """Face/vertex counts, degrees of freedom, and spacing h = sqrt(mean(BH))."""
     if mesh.num_faces == 0:
         raise ValueError("empty mesh")
-    bh = np.array([fr.BH for fr in mesh.frames])
     return MeshStats(
         num_faces=mesh.num_faces,
         num_vertices=mesh.num_vertices,
         dof=3 * mesh.num_vertices,
-        h=float(np.sqrt(bh.mean())),
+        h=float(np.sqrt(mesh.frames.BH.mean())),
     )
 
 

@@ -11,8 +11,10 @@ T[0,0,3] come from contour integrals around the triangle; every other entry
 follows from index recursions driven by closed-form line-segment integrals
 along the three sides.
 
-All functions here are pure and vectorized over a batch of field points;
-`t_table` and `triangle_velocity` evaluate one point through the same path
+All functions here are pure and broadcast over a chunk of F faces (one
+struct-of-arrays TriangleFrame) times a batch of M field points, giving
+arrays of shape (F, M) and blocks of shape (F, M, 3, 3). `t_table` and
+`triangle_velocity` evaluate one face at one point through the same path
 that assembly uses.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatingFloorError
-from .geometry import TriangleFrame, TriMesh
+from .geometry import TriangleFrame, TriMesh, _row_dot
 
 __all__ = [
     "KernelParams",
@@ -92,25 +94,23 @@ def _guarded_atanh(u):
 
 
 def _segment_tables(xf, a, b, eps, with_s1m1=False):
-    """Closed-form segment integrals for the segment traversed from a to b.
+    """Closed-form segment integrals for the segments traversed from a to b.
 
-    xf has shape (M, 3). Returns a dict holding L, the projections and
-    endpoint R values used by callers, and the integral entries keyed by
-    (m, q). The direction convention has ell pointing from the theta = 1
-    endpoint (b) back to the theta = 0 endpoint (a).
+    xf has shape (M, 3); a and b have shape (F, 3), one segment per face.
+    Returns the integral entries keyed by (m, q), each of shape (F, M). The
+    direction convention has ell pointing from the theta = 1 endpoint (b)
+    back to the theta = 0 endpoint (a).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    L = float(np.linalg.norm(b - a))
-    if L == 0.0:
+    L = np.sqrt(_row_dot((b - a)[:, None], b - a))  # (F, 1)
+    if np.any(L == 0.0):
         raise ValueError("zero-length segment")
     ell = (a - b) / L
-    x0 = xf - a
-    x1 = xf - b
-    u0 = x0 @ ell
+    x0 = xf - a[:, None]
+    x1 = xf - b[:, None]
+    u0 = _row_dot(x0, ell)
     u1 = u0 + L
-    R0 = np.sqrt(np.einsum("ij,ij->i", x0, x0) + eps * eps)
-    R1 = np.sqrt(np.einsum("ij,ij->i", x1, x1) + eps * eps)
+    R0 = np.sqrt(np.einsum("fmk,fmk->fm", x0, x0) + eps * eps)
+    R1 = np.sqrt(np.einsum("fmk,fmk->fm", x1, x1) + eps * eps)
     # squared distance from the segment line plus eps^2; >= eps^2 > 0
     c2 = np.maximum(R0 * R0 - u0 * u0, eps * eps)
     # stable log argument u + R = c2 / (R - u) when u < 0
@@ -120,16 +120,7 @@ def _segment_tables(xf, a, b, eps, with_s1m1=False):
     s0p1 = (_guarded_atanh(u1 / R1) - _guarded_atanh(u0 / R0)) / L
     s1p1 = (R1 - R0) / L**2 - (u0 / L) * s0p1
     s2p1 = R1 / L**2 - s0m1 / L**2 - (u0 / L) * s1p1
-    out = {
-        "L": L,
-        "u0": u0,
-        "R0": R0,
-        "R1": R1,
-        (0, -1): s0m1,
-        (0, 1): s0p1,
-        (1, 1): s1p1,
-        (2, 1): s2p1,
-    }
+    out = {(0, -1): s0m1, (0, 1): s0p1, (1, 1): s1p1, (2, 1): s2p1}
     if with_s1m1:
         out[(1, -1)] = (R1**3 - R0**3) / (3.0 * L**2) - (u0 / L) * s0m1
     return out
@@ -158,29 +149,31 @@ def _boundary_ab(m, n, q, e1, e2, d):
 # contour base cases T[0,0,3] and T[0,0,1]
 
 
-def _side_geometry(frame: TriangleFrame):
-    """Per-side (start, end, opposite) vertex triples in traversal order."""
-    return (
+def _sides(frame: TriangleFrame):
+    """Per side in traversal order: start vertices ya, lengths L (F, 1), unit
+    directions e along ya - yb, and in-plane unit normals pointing out of
+    the face."""
+    for ya, yb, yc in (
         (frame.y0, frame.y1, frame.y2),
         (frame.y1, frame.y2, frame.y0),
         (frame.y2, frame.y0, frame.y1),
-    )
+    ):
+        L = np.sqrt(_row_dot((ya - yb)[:, None], ya - yb))
+        e = (ya - yb) / L
+        n_side = np.cross(e, frame.nhat)
+        inward = _row_dot((yc - ya)[:, None], n_side) > 0
+        yield ya, L, e, np.where(inward, -n_side, n_side)
 
 
 def _t003_arrays(xf, frame: TriangleFrame, eps: float):
-    """Parameter-space T[0,0,3] for a batch of field points, shape (M,)."""
-    z0 = (xf - frame.y0) @ frame.nhat
+    """Parameter-space T[0,0,3] for F faces and M field points, shape (F, M)."""
+    z0 = _row_dot(xf - frame.y0[:, None], frame.nhat)
     gamma = np.sqrt(z0 * z0 + eps * eps)
-    total = np.zeros(len(xf))
-    for ya, yb, yc in _side_geometry(frame):
-        L = float(np.linalg.norm(ya - yb))
-        e = (ya - yb) / L
-        n_side = np.cross(e, frame.nhat)
-        if n_side @ (yc - ya) > 0:
-            n_side = -n_side
-        x0 = xf - ya
-        x0n = x0 @ n_side
-        x0v = x0 @ e
+    total = np.zeros(z0.shape)
+    for ya, L, e, n_side in _sides(frame):
+        x0 = xf - ya[:, None]
+        x0n = _row_dot(x0, n_side)
+        x0v = _row_dot(x0, e)
         P = x0v / L
         gL = gamma / L
         Qsq = (x0n / L) ** 2 + gL * gL
@@ -201,22 +194,18 @@ def _t003_arrays(xf, frame: TriangleFrame, eps: float):
         integral = (2.0 / (Q * one_p_g)) * (sgn2 * atan_term(r2) + sgn1 * atan_term(r1))
         contrib = -(x0n / (gamma * L)) * integral
         total += np.where(np.abs(x0n) < _SIDE_SKIP_REL * L, 0.0, contrib)
-    return total / frame.BH, gamma
+    return total / frame.BH[:, None], gamma
 
 
 def _t001_arrays(xf, frame: TriangleFrame, eps: float, t003_param, gamma, side_s0p1):
-    """Parameter-space T[0,0,1]; reuses segment S[0,1] values for the sides."""
-    contour = np.zeros(len(xf))
-    for (ya, yb, yc), s0p1 in zip(_side_geometry(frame), side_s0p1):
-        L = float(np.linalg.norm(ya - yb))
-        e = (ya - yb) / L
-        n_side = np.cross(e, frame.nhat)
-        if n_side @ (yc - ya) > 0:
-            n_side = -n_side
-        x0n = (xf - ya) @ n_side
+    """Parameter-space T[0,0,1], shape (F, M); reuses the sides' S[0,1] values."""
+    contour = np.zeros(gamma.shape)
+    for (ya, L, _, n_side), s0p1 in zip(_sides(frame), side_s0p1):
+        x0n = _row_dot(xf - ya[:, None], n_side)
         contrib = -x0n * L * s0p1
         contour += np.where(np.abs(x0n) < _SIDE_SKIP_REL * L, 0.0, contrib)
-    return (contour - gamma * gamma * frame.BH * t003_param) / frame.BH
+    BH = frame.BH[:, None]
+    return (contour - gamma * gamma * BH * t003_param) / BH
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ def _t001_arrays(xf, frame: TriangleFrame, eps: float, t003_param, gamma, side_s
 
 
 def _t_table_arrays(xf, frame: TriangleFrame, eps: float) -> dict:
-    """All 13 T integrals for a batch of field points; values shaped (M,)."""
+    """All 13 T integrals for F faces and M field points; values (F, M)."""
     seg1 = _segment_tables(xf, frame.y0, frame.y1, eps)  # e1
     seg2 = _segment_tables(xf, frame.y1, frame.y2, eps)  # e2
     seg3 = _segment_tables(xf, frame.y2, frame.y0, eps)  # d
@@ -234,12 +223,12 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float) -> dict:
         xf, frame, eps, T003, gamma, [seg1[(0, 1)], seg2[(0, 1)], seg3[(0, 1)]]
     )
 
-    L1, L2 = frame.L1, frame.L2
-    c = float(frame.vhat @ frame.what)
+    L1, L2 = frame.L1[:, None], frame.L2[:, None]
+    c = _row_dot(frame.vhat[:, None], frame.what)
     denom = c * c - 1.0
-    x0 = xf - frame.y0
-    x0v = x0 @ frame.vhat
-    x0w = x0 @ frame.what
+    x0 = xf - frame.y0[:, None]
+    x0v = _row_dot(x0, frame.vhat)
+    x0w = _row_dot(x0, frame.what)
     cv = (x0v - c * x0w) / L1
     cw = (x0w - c * x0v) / L2
 
@@ -292,9 +281,9 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float) -> dict:
 
 
 def t_table(xf, frame: TriangleFrame, eps: float) -> dict:
-    """All 13 moment integrals for one field point, keyed by (m, n, q)."""
+    """All 13 moment integrals of a one-face frame at one field point."""
     arrays = _t_table_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
-    return {k: float(v[0]) for k, v in arrays.items()}
+    return {k: float(v[0, 0]) for k, v in arrays.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -302,32 +291,42 @@ def t_table(xf, frame: TriangleFrame, eps: float) -> dict:
 
 
 def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
-    """Per-point 3x3 matrices (M0, M1, M2) with u = M0 f0 + M1 f1 + M2 f2.
+    """Per face and point 3x3 matrices (M0, M1, M2) with u = M0 f0 + M1 f1 + M2 f2.
 
-    xf has shape (M, 3); each output has shape (M, 3, 3). The 1/(8 pi mu)
-    prefactor and the area Jacobian are included.
+    xf has shape (M, 3) and frame holds F faces; each output has shape
+    (F, M, 3, 3). The 1/(8 pi mu) prefactor and the area Jacobian are
+    included.
     """
     T = _t_table_arrays(xf, frame, params.eps)
     eps2 = params.eps**2
-    v, w = frame.vhat, frame.what
-    L1, L2 = frame.L1, frame.L2
-    x0 = xf - frame.y0  # (M, 3)
+    v, w = frame.vhat[:, None, :], frame.what[:, None, :]  # (F, 1, 3)
+    L1, L2 = frame.L1[:, None], frame.L2[:, None]
+    x0 = xf - frame.y0[:, None]  # (F, M, 3)
     eye = np.eye(3)
-    E = eps2 * eye + x0[:, :, None] * x0[:, None, :]
-    Xv = x0[:, :, None] * v[None, None, :] + v[None, :, None] * x0[:, None, :]
-    Xw = x0[:, :, None] * w[None, None, :] + w[None, :, None] * x0[:, None, :]
-    Vv = np.outer(v, v)
-    Ww = np.outer(w, w)
-    Vw = np.outer(v, w) + np.outer(w, v)
+
+    def outer(a, b):
+        return a[..., :, None] * b[..., None, :]
+
+    def sym_outer(a, b):
+        # a b^T + b a^T; b a^T is the transpose of a b^T, product for product
+        ab = outer(a, b)
+        return ab + ab.swapaxes(-1, -2)
+
+    E = eps2 * eye + outer(x0, x0)
+    Xv = sym_outer(x0, v)
+    Xw = sym_outer(x0, w)
+    Vv = outer(v, v)
+    Ww = outer(w, w)
+    Vw = sym_outer(v, w)
 
     def combo(t1, tE, tXv, tXw, tVv, tVw, tWw):
-        out = t1[:, None, None] * eye
-        out += tE[:, None, None] * E
-        out += (L1 * tXv)[:, None, None] * Xv
-        out += (L2 * tXw)[:, None, None] * Xw
-        out += (L1**2 * tVv)[:, None, None] * Vv
-        out += (L1 * L2 * tVw)[:, None, None] * Vw
-        out += (L2**2 * tWw)[:, None, None] * Ww
+        out = t1[..., None, None] * eye
+        out += tE[..., None, None] * E
+        out += (L1 * tXv)[..., None, None] * Xv
+        out += (L2 * tXw)[..., None, None] * Xw
+        out += (L1**2 * tVv)[..., None, None] * Vv
+        out += (L1 * L2 * tVw)[..., None, None] * Vw
+        out += (L2**2 * tWw)[..., None, None] * Ww
         return out
 
     A_f0 = combo(T[(0, 0, 1)], T[(0, 0, 3)], T[(1, 0, 3)], T[(0, 1, 3)],
@@ -336,7 +335,7 @@ def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
                  T[(3, 0, 3)], T[(2, 1, 3)], T[(1, 2, 3)])
     A_fb = combo(T[(0, 1, 1)], T[(0, 1, 3)], T[(1, 1, 3)], T[(0, 2, 3)],
                  T[(2, 1, 3)], T[(1, 2, 3)], T[(0, 3, 3)])
-    scale = frame.BH / (8.0 * np.pi * params.mu)
+    scale = frame.BH[:, None, None, None] / (8.0 * np.pi * params.mu)
     M0 = scale * (A_f0 - A_fa)
     M1 = scale * (A_fa - A_fb)
     M2 = scale * A_fb
@@ -344,10 +343,11 @@ def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
 
 
 def triangle_velocity(xf, frame: TriangleFrame, f0, f1, f2, params: KernelParams):
-    """Velocity at xf induced by the linear force density (f0, f1, f2)."""
+    """Velocity at xf induced by the linear force density (f0, f1, f2) on
+    a one-face frame."""
     M0, M1, M2 = _velocity_blocks(np.asarray(xf, dtype=float)[None, :], frame, params)
     return (
-        M0[0] @ np.asarray(f0, dtype=float)
-        + M1[0] @ np.asarray(f1, dtype=float)
-        + M2[0] @ np.asarray(f2, dtype=float)
+        M0[0, 0] @ np.asarray(f0, dtype=float)
+        + M1[0, 0] @ np.asarray(f1, dtype=float)
+        + M2[0, 0] @ np.asarray(f2, dtype=float)
     )

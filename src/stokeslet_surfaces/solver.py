@@ -45,6 +45,21 @@ __all__ = [
 ]
 
 
+# Face-point pairs per kernel call. Chunks amortize the per-call overhead
+# over several faces; a bound this small keeps the (faces, points, 3, 3)
+# temporaries small: on an f=4 sphere solve, 2048-pair chunks raise the
+# peak memory by about 1.6 MB over one face per call, 8192-pair chunks by
+# about 10 MB.
+_CHUNK_PAIRS = 2048
+
+
+def _face_chunks(num_faces, num_points):
+    """Slices of consecutive faces, each with at most _CHUNK_PAIRS face-point
+    pairs (at least one face)."""
+    step = max(1, _CHUNK_PAIRS // max(1, num_points))
+    return [slice(start, start + step) for start in range(0, num_faces, step)]
+
+
 def _as_points(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -60,11 +75,11 @@ def evaluate_velocity(mesh: TriMesh, forces, points, params: KernelParams) -> np
         raise ValueError("forces must have shape (num_vertices, 3)")
     pts = _as_points(points)
     u = np.zeros_like(pts)
-    for face, frame in zip(mesh.faces, mesh.frames):
-        M0, M1, M2 = _velocity_blocks(pts, frame, params)
-        u += np.einsum("mij,j->mi", M0, forces[face[0]])
-        u += np.einsum("mij,j->mi", M1, forces[face[1]])
-        u += np.einsum("mij,j->mi", M2, forces[face[2]])
+    for chunk in _face_chunks(mesh.num_faces, len(pts)):
+        blocks = _velocity_blocks(pts, mesh.frames.select(chunk), params)
+        corner_forces = forces[mesh.faces[chunk]]  # (chunk, corner, 3)
+        for k, Mk in enumerate(blocks):
+            u += np.einsum("fmij,fj->mi", Mk, corner_forces[:, k])
     return u
 
 
@@ -74,11 +89,14 @@ def assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
     n = mesh.num_vertices
     A = np.zeros((n, 3, n, 3))
     pts = mesh.vertices
-    for face, frame in zip(mesh.faces, mesh.frames):
-        M0, M1, M2 = _velocity_blocks(pts, frame, params)
-        A[:, :, face[0], :] += M0
-        A[:, :, face[1], :] += M1
-        A[:, :, face[2], :] += M2
+    for chunk in _face_chunks(mesh.num_faces, n):
+        M0, M1, M2 = _velocity_blocks(pts, mesh.frames.select(chunk), params)
+        # one face at a time: a chunk may repeat a vertex, and a fancy-indexed
+        # += would keep only one of the repeated contributions
+        for p, (a, b, c) in enumerate(mesh.faces[chunk]):
+            A[:, :, a, :] += M0[p]
+            A[:, :, b, :] += M1[p]
+            A[:, :, c, :] += M2[p]
     return A.reshape(3 * n, 3 * n)
 
 
@@ -129,7 +147,7 @@ def _vertex_moments(mesh: TriMesh, center):
     integrates to BH/6, and its first moment is BH/24 (y0 + y1 + y2 + y_j).
     """
     n = mesh.num_vertices
-    bh = np.array([frame.BH for frame in mesh.frames])
+    bh = mesh.frames.BH
     corners = mesh.vertices[mesh.faces]  # (F, 3, 3): face, corner, xyz
     center = np.asarray(center, dtype=float)
     lever = corners.sum(axis=1)[:, None, :] + corners - 4.0 * center
@@ -251,9 +269,9 @@ def constant_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndar
     nf = mesh.num_faces
     centroids = mesh.face_centroids()
     A = np.zeros((nf, 3, nf, 3))
-    for p, frame in enumerate(mesh.frames):
-        M0, M1, M2 = _velocity_blocks(centroids, frame, params)
-        A[:, :, p, :] = M0 + M1 + M2
+    for chunk in _face_chunks(nf, nf):
+        M0, M1, M2 = _velocity_blocks(centroids, mesh.frames.select(chunk), params)
+        A[:, :, chunk, :] = (M0 + M1 + M2).transpose(1, 2, 0, 3)
     return A.reshape(3 * nf, 3 * nf)
 
 
@@ -274,7 +292,7 @@ def constant_evaluate_velocity(mesh: TriMesh, face_forces, points,
     face_forces = np.asarray(face_forces, dtype=float)
     pts = _as_points(points)
     u = np.zeros_like(pts)
-    for p, frame in enumerate(mesh.frames):
-        M0, M1, M2 = _velocity_blocks(pts, frame, params)
-        u += np.einsum("mij,j->mi", M0 + M1 + M2, face_forces[p])
+    for chunk in _face_chunks(mesh.num_faces, len(pts)):
+        M0, M1, M2 = _velocity_blocks(pts, mesh.frames.select(chunk), params)
+        u += np.einsum("fmij,fj->mi", M0 + M1 + M2, face_forces[chunk])
     return u

@@ -9,7 +9,9 @@ from scipy.integrate import dblquad, quad
 
 
 def triangle_param_point(frame, alpha, beta):
-    return frame.y0 - alpha * frame.L1 * frame.vhat - beta * frame.L2 * frame.what
+    """The point y(alpha, beta), shape (3,), of a one-face frame."""
+    y = frame.y0 - alpha * frame.L1 * frame.vhat - beta * frame.L2 * frame.what
+    return y[0]
 
 
 def t_integral_quadrature(xf, frame, eps, m, n, q, epsrel=1e-11):
@@ -62,7 +64,7 @@ def triangle_velocity_quadrature(xf, frame, f0, f1, f2, eps, mu, epsrel=1e-10):
                          epsabs=1e-13, epsrel=epsrel)
         return val
 
-    return frame.BH / (8.0 * np.pi * mu) * np.array([component(i) for i in range(3)])
+    return frame.BH[0] / (8.0 * np.pi * mu) * np.array([component(i) for i in range(3)])
 
 
 def random_triangle_case(rng, eps_range=(1e-2, 1.0), scale=1.0):

@@ -39,10 +39,12 @@ def test_point_stokeslet_structure():
 
 
 def _segment(xf, a, b, eps, with_s1m1=False):
-    """Segment integrals S[m, q] at one field point, as floats."""
-    table = _segment_tables(np.asarray(xf, dtype=float)[None, :], a, b, eps,
+    """Segment integrals S[m, q] of one segment at one field point, as floats."""
+    table = _segment_tables(np.asarray(xf, dtype=float)[None, :],
+                            np.atleast_2d(a), np.atleast_2d(b), eps,
                             with_s1m1=with_s1m1)
-    return {k: float(v[0]) for k, v in table.items() if isinstance(k, tuple)}
+    assert all(v.shape == (1, 1) for v in table.values())
+    return {k: float(v[0, 0]) for k, v in table.items()}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -125,7 +127,7 @@ def test_boundary_ab_matches_direct_combination(seed):
 
 def _t003(xf, frame, eps):
     value, _ = _t003_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
-    return float(value[0])
+    return float(value[0, 0])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -134,12 +136,13 @@ def test_t003_t001_match_quadrature(seed):
     frame, xf, _, eps = oracles.random_triangle_case(rng)
     xb = xf[None, :]
     t003_values, gamma = _t003_arrays(xb, frame, eps)
-    v3 = float(t003_values[0])
+    assert t003_values.shape == gamma.shape == (1, 1)
+    v3 = float(t003_values[0, 0])
     assert v3 == pytest.approx(
         oracles.t_integral_quadrature(xf, frame, eps, 0, 0, 3), rel=1e-9
     )
     side_s0p1 = [_segment_tables(xb, a, b, eps)[(0, 1)] for a, b in _sides(frame)]
-    v1 = float(_t001_arrays(xb, frame, eps, t003_values, gamma, side_s0p1)[0])
+    v1 = float(_t001_arrays(xb, frame, eps, t003_values, gamma, side_s0p1)[0, 0])
     assert v1 == pytest.approx(
         oracles.t_integral_quadrature(xf, frame, eps, 0, 0, 1), rel=1e-9
     )
@@ -188,7 +191,7 @@ def test_triangle_velocity_matches_quadrature(seed):
 def test_triangle_velocity_self_point_finite():
     # collocation on the triangle itself with a small regularization
     frame = triangle_frame([0, 0, 0], [0.01, 0, 0], [0.004, 0.008, 0.0])
-    xf = (frame.y0 + frame.y1 + frame.y2) / 3.0
+    xf = (frame.y0 + frame.y1 + frame.y2)[0] / 3.0
     forces = np.ones((3, 3))
     u = triangle_velocity(xf, frame, *forces, KernelParams(eps=1e-5))
     assert np.all(np.isfinite(u))
@@ -242,10 +245,10 @@ def _p_expansion_velocity(xf, frame, f0, f1, f2, params):
     of (eps**2 I + (x - y)(x - y)^T) f. Reference for the block combination."""
     eps = params.eps
     T = t_table(xf, frame, eps)
-    x0 = np.asarray(xf, dtype=float) - frame.y0
+    x0 = np.asarray(xf, dtype=float) - frame.y0[0]
     fa, fb = f1 - f0, f2 - f1
-    v, w = frame.vhat, frame.what
-    L1, L2 = frame.L1, frame.L2
+    v, w = frame.vhat[0], frame.what[0]
+    L1, L2 = frame.L1[0], frame.L2[0]
     e2 = eps * eps
     P00 = e2 * f0 + (f0 @ x0) * x0
     P10 = e2 * fa + (L1 * (f0 @ v) + fa @ x0) * x0 + L1 * (f0 @ x0) * v
@@ -267,7 +270,7 @@ def _p_expansion_velocity(xf, frame, f0, f1, f2, params):
         + P30 * T[(3, 0, 3)] + P21 * T[(2, 1, 3)]
         + P12 * T[(1, 2, 3)] + P03 * T[(0, 3, 3)]
     )
-    return frame.BH / (8.0 * np.pi * params.mu) * total
+    return frame.BH[0] / (8.0 * np.pi * params.mu) * total
 
 
 def test_velocity_blocks_match_triangle_velocity():
@@ -302,7 +305,7 @@ def test_net_force_and_torque_match_quadrature():
     rng = np.random.default_rng(11)
     frame, _, forces, _ = oracles.random_triangle_case(rng)
     yc = rng.normal(size=3)
-    mesh = TriMesh([frame.y0, frame.y1, frame.y2], [[0, 1, 2]])
+    mesh = TriMesh(np.concatenate([frame.y0, frame.y1, frame.y2]), [[0, 1, 2]])
     F = net_force(mesh, forces)
     T = net_torque(mesh, forces, center=yc)
     f0, fa, fb = forces[0], forces[1] - forces[0], forces[2] - forces[1]
@@ -311,7 +314,7 @@ def test_net_force_and_torque_match_quadrature():
         out = np.zeros(3)
         for i in range(3):
             out[i], _ = dblquad(
-                lambda beta, alpha, i=i: fn(alpha, beta)[i] * frame.BH,
+                lambda beta, alpha, i=i: fn(alpha, beta)[i] * frame.BH[0],
                 0.0, 1.0, 0.0, lambda a: a, epsabs=1e-13, epsrel=1e-12,
             )
         return out

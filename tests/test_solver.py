@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeslet_surfaces import (
     FloatingFloorError,
@@ -13,6 +15,7 @@ from stokeslet_surfaces import (
     constant_evaluate_velocity,
     evaluate_velocity,
     make_icosphere,
+    mesh_stats,
     mrs_assemble_resistance,
     net_force,
     net_torque,
@@ -25,7 +28,7 @@ from stokeslet_surfaces import (
     triangle_velocity,
     TriMesh,
 )
-from stokeslet_surfaces.solver import _vertex_moments
+from stokeslet_surfaces.solver import _face_chunks, _velocity_blocks, _vertex_moments
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,54 @@ def test_assemble_matches_evaluate(small_sphere):
 def test_system_size_f8():
     mesh = make_icosphere(8)
     assert 3 * mesh.num_vertices == 1926  # +6 swimmer unknowns gives 1932
+
+
+def test_chunked_assembly_matches_one_face_blocks():
+    # f=2: 42 points, so chunks of 48 faces that share vertices
+    mesh = make_icosphere(2)
+    params = KernelParams(eps=1e-3)
+    first = mesh.faces[_face_chunks(mesh.num_faces, mesh.num_vertices)[0]]
+    assert len(first) == 48 and len(np.unique(first)) < first.size
+    n = mesh.num_vertices
+    stacked = np.zeros((n, 3, n, 3))
+    for p, face in enumerate(mesh.faces):
+        blocks = _velocity_blocks(mesh.vertices, mesh.frames.select(slice(p, p + 1)),
+                                  params)
+        for vertex, Mk in zip(face, blocks):
+            stacked[:, :, vertex, :] += Mk[0]
+    stacked = stacked.reshape(3 * n, 3 * n)
+    A = assemble_resistance(mesh, params)
+    assert np.abs(A - stacked).max() <= 1e-13 * np.abs(stacked).max()
+
+
+@settings(max_examples=12, deadline=None)
+@given(f=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       log_eps=st.floats(-4.0, -1.0))
+def test_assembled_matrix_matches_evaluation_on_random_meshes(f, seed, log_eps):
+    # rotated icosphere with vertices jittered by up to 0.1 h
+    rng = np.random.default_rng(seed)
+    sphere = make_icosphere(f)
+    jitter = 0.1 * mesh_stats(sphere).h * rng.uniform(-1, 1, sphere.vertices.shape)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    mesh = TriMesh((sphere.vertices + jitter) @ Q.T, sphere.faces)
+    params = KernelParams(eps=10.0**log_eps)
+    forces = rng.normal(size=(mesh.num_vertices, 3))
+    via_matrix = (assemble_resistance(mesh, params) @ forces.reshape(-1)).reshape(-1, 3)
+    direct = evaluate_velocity(mesh, forces, mesh.vertices, params)
+    np.testing.assert_allclose(via_matrix, direct, rtol=1e-12,
+                               atol=1e-12 * np.abs(direct).max())
+
+
+def test_evaluation_at_no_points(small_sphere):
+    params = KernelParams(eps=1e-2)
+    none = np.zeros((0, 3))
+    forces = np.ones((small_sphere.num_vertices, 3))
+    assert evaluate_velocity(small_sphere, forces, none, params).shape == (0, 3)
+    face_forces = np.ones((small_sphere.num_faces, 3))
+    u = constant_evaluate_velocity(small_sphere, face_forces, none, params)
+    assert u.shape == (0, 3)
 
 
 def test_resistance_round_trip(small_sphere):
@@ -219,7 +270,7 @@ def test_swimmer_mirror_symmetry(small_sphere):
 
 def test_mrs_weights_sum_to_area(small_sphere):
     w, _ = _vertex_moments(small_sphere, np.zeros(3))
-    total_area = sum(frame.BH / 2.0 for frame in small_sphere.frames)
+    total_area = (small_sphere.frames.BH / 2.0).sum()
     assert w.sum() == pytest.approx(total_area, rel=1e-12)
 
 
@@ -265,7 +316,8 @@ def test_constant_forward_matches_linear_with_equal_forces(small_sphere):
     u_const = constant_evaluate_velocity(small_sphere, face_forces, pts, params)
     # equivalent linear evaluation: sum triangle terms with f0 = f1 = f2
     u_lin = np.zeros_like(pts)
-    for face, frame, ff in zip(small_sphere.faces, small_sphere.frames, face_forces):
+    for j, ff in enumerate(face_forces):
+        frame = small_sphere.frames.select(slice(j, j + 1))
         for k, p in enumerate(pts):
             u_lin[k] += triangle_velocity(p, frame, ff, ff, ff, params)
     assert np.allclose(u_const, u_lin, rtol=1e-11, atol=1e-14)

@@ -3,6 +3,7 @@ import pytest
 
 from stokeslet_surfaces import (
     ExperimentReport,
+    FloatingFloorError,
     fit_loglog_slope,
     run_study,
     write_field_csv,
@@ -68,18 +69,18 @@ def test_triangle_quadrature_rule_exactness():
     frame = triangle_frame([0.0, 0, 0], [2.0, 0, 0], [0.3, 1.5, 0.0])
     pts, wts = _triangle_quadrature_points(frame)
     assert len(pts) == 16
-    area = 0.5 * frame.BH
+    area = 0.5 * frame.BH[0]
     assert wts.sum() == pytest.approx(area, rel=1e-13)
     # integral of x over the triangle equals area times centroid x
-    cx = (frame.y0[0] + frame.y1[0] + frame.y2[0]) / 3.0
+    cx = (frame.y0[0, 0] + frame.y1[0, 0] + frame.y2[0, 0]) / 3.0
     assert np.sum(wts * pts[:, 0]) == pytest.approx(area * cx, rel=1e-12)
     got = np.sum(wts * pts[:, 0] ** 2 * pts[:, 1])
     from scipy.integrate import dblquad
 
     ref, _ = dblquad(
         lambda b, a: (lambda y: y[0] ** 2 * y[1])(
-            frame.y0 - a * frame.L1 * frame.vhat - b * frame.L2 * frame.what
-        ) * frame.BH,
+            (frame.y0 - a * frame.L1 * frame.vhat - b * frame.L2 * frame.what)[0]
+        ) * frame.BH[0],
         0, 1, 0, lambda a: a, epsabs=1e-14, epsrel=1e-12,
     )
     assert got == pytest.approx(ref, rel=1e-10)
@@ -108,6 +109,22 @@ def test_forward_spheroid_polar_errors_dominate():
                   if r["metric"] == "grading=1:polar_max_error"][0]["value"]
     assert uni_max > uni_med  # polar errors dominate on the uniform mesh
     assert graded_max < uni_max  # grading reduces the polar maximum
+
+
+def test_mrs_comparison_default_eps_above_floor():
+    # the floor is 1.05e-8 at f=2, so the default 1e-8 is left out there
+    coarse = run_study("mrs-comparison", {"f": 2, "mrs_eps_values": [5e-2]})
+    rows = [r for r in coarse.rows if r["metric"] == "surfaces_l2_error"]
+    assert [r["eps"] for r in rows] == [1e-4, 1e-6]
+    assert len(coarse.values("mrs_l2_error")) == 1
+    fine = run_study("mrs-comparison", {"f": 4, "mrs_eps_values": [5e-2]})
+    rows = [r for r in fine.rows if r["metric"] == "surfaces_l2_error"]
+    assert [r["eps"] for r in rows] == [1e-4, 1e-6, 1e-8]
+
+
+def test_mrs_comparison_explicit_eps_below_floor_raises():
+    with pytest.raises(FloatingFloorError):
+        run_study("mrs-comparison", {"f": 2, "eps_values": [1e-4, 1e-8]})
 
 
 def test_study_rows_reproducible():

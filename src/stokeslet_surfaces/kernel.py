@@ -9,7 +9,9 @@ a flat triangle reduces to a 13-term sum of moment integrals
 with q in {1, 3} and m + n <= q. The two scalar base cases T[0,0,1] and
 T[0,0,3] come from contour integrals around the triangle; every other entry
 follows from index recursions driven by closed-form line-segment integrals
-along the three sides.
+along the three sides. Each call forms the corner offsets xf - y_j and
+distances once and visits each side once (`_side`), which yields the side's
+segment integrals and its terms of both contour sums.
 
 All functions here are pure and broadcast over a chunk of F faces (one
 struct-of-arrays TriangleFrame) times a batch of M field points, giving
@@ -71,16 +73,27 @@ def epsilon_floor(mesh: TriMesh) -> float:
 
 
 def point_stokeslet(x, y, params: KernelParams) -> np.ndarray:
-    """Regularized Stokeslet matrix S for a point force at y, evaluated at x."""
+    """Regularized Stokeslet matrices S for point forces at y, evaluated at x.
+
+    x and y are points of shape (3,) or (..., 3) that broadcast against each
+    other; S has shape (..., 3, 3).
+    """
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r2 = d @ d + params.eps**2
+    eps2 = params.eps * params.eps
+    r2 = np.einsum("...k,...k->...", d, d) + eps2
     r = np.sqrt(r2)
     r3 = r2 * r
-    return (1.0 / r + params.eps**2 / r3) * np.eye(3) + np.outer(d, d) / r3
+    S = np.zeros(d.shape + (3,))
+    diag = 1.0 / r + eps2 / r3
+    for i in range(3):
+        S[..., i, i] = diag
+    S += d[..., :, None] * d[..., None, :] / r3[..., None, None]
+    return S
 
 
 # ---------------------------------------------------------------------------
-# line-segment integrals S[m, q] = int_0^1 theta**m * R**(-q) dtheta, q = -1, 1
+# one pass per side: segment integrals S[m, q] = int_0^1 theta**m * R**(-q)
+# dtheta, q = -1, 1, and the side's terms of the T[0,0,3]/T[0,0,1] contours
 
 
 def _guarded_atanh(u):
@@ -93,24 +106,35 @@ def _guarded_atanh(u):
     return np.arctanh(np.clip(u, -_ATANH_LIMIT, _ATANH_LIMIT))
 
 
-def _segment_tables(xf, a, b, eps, with_s1m1=False):
-    """Closed-form segment integrals for the segments traversed from a to b.
+def _side(frame: TriangleFrame, a: int, b: int, x, R, gamma, eps):
+    """Everything the T table needs from the side running from corner a to b.
 
-    xf has shape (M, 3); a and b have shape (F, 3), one segment per face.
-    Returns the integral entries keyed by (m, q), each of shape (F, M). The
-    direction convention has ell pointing from the theta = 1 endpoint (b)
-    back to the theta = 0 endpoint (a).
+    x[j] = xf - y_j, shape (F, M, 3), and R[j] = sqrt(|x[j]|**2 + eps**2),
+    shape (F, M), for the corners j = 0, 1, 2 of the frame; gamma is
+    sqrt(z**2 + eps**2), z the height of xf above the face plane.
+
+    Returns (S, c003, c001), each value of shape (F, M): S maps (m, q) to
+    the segment integral S[m, q] along a -> b; c003 and c001 are the side's
+    terms of the contour sums that give BH * T[0,0,3] and the boundary part
+    of BH * T[0,0,1]. A side whose line passes through the in-plane
+    projection of xf contributes no contour terms.
     """
-    L = np.sqrt(_row_dot((b - a)[:, None], b - a))  # (F, 1)
+    corners = (frame.y0, frame.y1, frame.y2)
+    ya, yb, yc = corners[a], corners[b], corners[3 - a - b]
+    x0, R0, R1 = x[a], R[a], R[b]
+    L = np.sqrt(_row_dot((ya - yb)[:, None], ya - yb))  # (F, 1)
     if np.any(L == 0.0):
         raise ValueError("zero-length segment")
-    ell = (a - b) / L
-    x0 = xf - a[:, None]
-    x1 = xf - b[:, None]
-    u0 = _row_dot(x0, ell)
+    # unit direction from the theta = 1 endpoint (b) back to theta = 0 (a),
+    # and the in-plane unit normal pointing out of the face
+    e = (ya - yb) / L
+    n_side = np.cross(e, frame.nhat)
+    inward = _row_dot((yc - ya)[:, None], n_side) > 0
+    n_side = np.where(inward, -n_side, n_side)
+
+    u0 = _row_dot(x0, e)
     u1 = u0 + L
-    R0 = np.sqrt(np.einsum("fmk,fmk->fm", x0, x0) + eps * eps)
-    R1 = np.sqrt(np.einsum("fmk,fmk->fm", x1, x1) + eps * eps)
+    P = u0 / L
     # squared distance from the segment line plus eps^2; >= eps^2 > 0
     c2 = np.maximum(R0 * R0 - u0 * u0, eps * eps)
     # stable log argument u + R = c2 / (R - u) when u < 0
@@ -118,12 +142,33 @@ def _segment_tables(xf, a, b, eps, with_s1m1=False):
     la1 = np.where(u1 < 0.0, c2 / (R1 - u1), u1 + R1)
     s0m1 = ((u1 * R1 + c2 * np.log(la1)) - (u0 * R0 + c2 * np.log(la0))) / (2.0 * L)
     s0p1 = (_guarded_atanh(u1 / R1) - _guarded_atanh(u0 / R0)) / L
-    s1p1 = (R1 - R0) / L**2 - (u0 / L) * s0p1
-    s2p1 = R1 / L**2 - s0m1 / L**2 - (u0 / L) * s1p1
-    out = {(0, -1): s0m1, (0, 1): s0p1, (1, 1): s1p1, (2, 1): s2p1}
-    if with_s1m1:
-        out[(1, -1)] = (R1**3 - R0**3) / (3.0 * L**2) - (u0 / L) * s0m1
-    return out
+    s1p1 = (R1 - R0) / L**2 - P * s0p1
+    s2p1 = R1 / L**2 - s0m1 / L**2 - P * s1p1
+    S = {(0, -1): s0m1, (0, 1): s0p1, (1, 1): s1p1, (2, 1): s2p1}
+
+    xn = _row_dot(x0, n_side)
+    xnL2 = (xn / L) ** 2
+    gL = gamma / L
+    Qsq = xnL2 + gL * gL
+    Q = np.sqrt(Qsq)
+    # 1 - gamma/(L*Q) computed through the stable difference of squares
+    one_m_g = xnL2 / (Qsq + Q * gL)
+    one_p_g = 1.0 + gL / Q
+    s = np.sqrt(one_m_g / one_p_g)
+    r1 = np.tan(0.5 * np.arctan(np.abs(P) / Q))
+    r2 = np.tan(0.5 * np.arctan(np.abs(1.0 + P) / Q))
+
+    def atan_term(r):
+        # arctan(r*s)/s, continuous through s -> 0
+        return np.where(s > 1e-150, np.arctan(r * s) / np.where(s > 0, s, 1.0), r)
+
+    sgn1 = np.where(P >= 0.0, -1.0, 1.0)
+    sgn2 = np.where(P <= -1.0, -1.0, 1.0)
+    integral = (2.0 / (Q * one_p_g)) * (sgn2 * atan_term(r2) + sgn1 * atan_term(r1))
+    skip = np.abs(xn) < _SIDE_SKIP_REL * L
+    c003 = np.where(skip, 0.0, -(xn / (gamma * L)) * integral)
+    c001 = np.where(skip, 0.0, -xn * L * s0p1)
+    return S, c003, c001
 
 
 def _boundary_ab(m, n, q, e1, e2, d):
@@ -146,89 +191,29 @@ def _boundary_ab(m, n, q, e1, e2, d):
 
 
 # ---------------------------------------------------------------------------
-# contour base cases T[0,0,3] and T[0,0,1]
-
-
-def _sides(frame: TriangleFrame):
-    """Per side in traversal order: start vertices ya, lengths L (F, 1), unit
-    directions e along ya - yb, and in-plane unit normals pointing out of
-    the face."""
-    for ya, yb, yc in (
-        (frame.y0, frame.y1, frame.y2),
-        (frame.y1, frame.y2, frame.y0),
-        (frame.y2, frame.y0, frame.y1),
-    ):
-        L = np.sqrt(_row_dot((ya - yb)[:, None], ya - yb))
-        e = (ya - yb) / L
-        n_side = np.cross(e, frame.nhat)
-        inward = _row_dot((yc - ya)[:, None], n_side) > 0
-        yield ya, L, e, np.where(inward, -n_side, n_side)
-
-
-def _t003_arrays(xf, frame: TriangleFrame, eps: float):
-    """Parameter-space T[0,0,3] for F faces and M field points, shape (F, M)."""
-    z0 = _row_dot(xf - frame.y0[:, None], frame.nhat)
-    gamma = np.sqrt(z0 * z0 + eps * eps)
-    total = np.zeros(z0.shape)
-    for ya, L, e, n_side in _sides(frame):
-        x0 = xf - ya[:, None]
-        x0n = _row_dot(x0, n_side)
-        x0v = _row_dot(x0, e)
-        P = x0v / L
-        gL = gamma / L
-        Qsq = (x0n / L) ** 2 + gL * gL
-        Q = np.sqrt(Qsq)
-        # 1 - gamma/(L*Q) computed through the stable difference of squares
-        one_m_g = (x0n / L) ** 2 / (Qsq + Q * gL)
-        one_p_g = 1.0 + gL / Q
-        s = np.sqrt(one_m_g / one_p_g)
-        r1 = np.tan(0.5 * np.arctan(np.abs(P) / Q))
-        r2 = np.tan(0.5 * np.arctan(np.abs(1.0 + P) / Q))
-
-        def atan_term(r, s=s):
-            # arctan(r*s)/s, continuous through s -> 0
-            return np.where(s > 1e-150, np.arctan(r * s) / np.where(s > 0, s, 1.0), r)
-
-        sgn1 = np.where(P >= 0.0, -1.0, 1.0)
-        sgn2 = np.where(P <= -1.0, -1.0, 1.0)
-        integral = (2.0 / (Q * one_p_g)) * (sgn2 * atan_term(r2) + sgn1 * atan_term(r1))
-        contrib = -(x0n / (gamma * L)) * integral
-        total += np.where(np.abs(x0n) < _SIDE_SKIP_REL * L, 0.0, contrib)
-    return total / frame.BH[:, None], gamma
-
-
-def _t001_arrays(xf, frame: TriangleFrame, eps: float, t003_param, gamma, side_s0p1):
-    """Parameter-space T[0,0,1], shape (F, M); reuses the sides' S[0,1] values."""
-    contour = np.zeros(gamma.shape)
-    for (ya, L, _, n_side), s0p1 in zip(_sides(frame), side_s0p1):
-        x0n = _row_dot(xf - ya[:, None], n_side)
-        contrib = -x0n * L * s0p1
-        contour += np.where(np.abs(x0n) < _SIDE_SKIP_REL * L, 0.0, contrib)
-    BH = frame.BH[:, None]
-    return (contour - gamma * gamma * BH * t003_param) / BH
-
-
-# ---------------------------------------------------------------------------
 # full T table via the index recursions
 
 
-def _t_table_arrays(xf, frame: TriangleFrame, eps: float) -> dict:
-    """All 13 T integrals for F faces and M field points; values (F, M)."""
-    seg1 = _segment_tables(xf, frame.y0, frame.y1, eps)  # e1
-    seg2 = _segment_tables(xf, frame.y1, frame.y2, eps)  # e2
-    seg3 = _segment_tables(xf, frame.y2, frame.y0, eps)  # d
+def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
+    """All 13 T integrals for F faces and M field points, values (F, M), and
+    the offsets xf - y0, shape (F, M, 3)."""
+    x = [xf - y[:, None] for y in (frame.y0, frame.y1, frame.y2)]
+    R = [np.sqrt(np.einsum("fmk,fmk->fm", xj, xj) + eps * eps) for xj in x]
+    z0 = _row_dot(x[0], frame.nhat)
+    gamma = np.sqrt(z0 * z0 + eps * eps)
+    (seg1, c1, k1), (seg2, c2, k2), (seg3, c3, k3) = (
+        _side(frame, a, b, x, R, gamma, eps) for a, b in ((0, 1), (1, 2), (2, 0))
+    )  # sides e1, e2 and d
 
-    T003, gamma = _t003_arrays(xf, frame, eps)
-    T001 = _t001_arrays(
-        xf, frame, eps, T003, gamma, [seg1[(0, 1)], seg2[(0, 1)], seg3[(0, 1)]]
-    )
+    BH = frame.BH[:, None]
+    T003 = (c1 + c2 + c3) / BH
+    T001 = (k1 + k2 + k3 - gamma * gamma * BH * T003) / BH
 
     L1, L2 = frame.L1[:, None], frame.L2[:, None]
     c = _row_dot(frame.vhat[:, None], frame.what)
     denom = c * c - 1.0
-    x0 = xf - frame.y0[:, None]
-    x0v = _row_dot(x0, frame.vhat)
-    x0w = _row_dot(x0, frame.what)
+    x0v = _row_dot(x[0], frame.vhat)
+    x0w = _row_dot(x[0], frame.what)
     cv = (x0v - c * x0w) / L1
     cw = (x0w - c * x0v) / L2
 
@@ -271,18 +256,19 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float) -> dict:
     T123 = step_n(*ab[(1, 1)], 1, 1, T011, T101, T113)
     T033 = step_n(*ab[(0, 2)], 0, 2, 0.0, T011, T023)
 
-    return {
+    T = {
         (0, 0, 1): T001, (0, 0, 3): T003,
         (1, 0, 1): T101, (1, 0, 3): T103,
         (0, 1, 1): T011, (0, 1, 3): T013,
         (2, 0, 3): T203, (1, 1, 3): T113, (0, 2, 3): T023,
         (3, 0, 3): T303, (2, 1, 3): T213, (1, 2, 3): T123, (0, 3, 3): T033,
     }
+    return T, x[0]
 
 
 def t_table(xf, frame: TriangleFrame, eps: float) -> dict:
     """All 13 moment integrals of a one-face frame at one field point."""
-    arrays = _t_table_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
+    arrays, _ = _t_table_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
     return {k: float(v[0, 0]) for k, v in arrays.items()}
 
 
@@ -297,11 +283,10 @@ def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
     (F, M, 3, 3). The 1/(8 pi mu) prefactor and the area Jacobian are
     included.
     """
-    T = _t_table_arrays(xf, frame, params.eps)
+    T, x0 = _t_table_arrays(xf, frame, params.eps)  # x0 = xf - y0, (F, M, 3)
     eps2 = params.eps**2
     v, w = frame.vhat[:, None, :], frame.what[:, None, :]  # (F, 1, 3)
     L1, L2 = frame.L1[:, None], frame.L2[:, None]
-    x0 = xf - frame.y0[:, None]  # (F, M, 3)
     eye = np.eye(3)
 
     def outer(a, b):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .geometry import TriMesh
-from .kernel import KernelParams, _velocity_blocks
+from .kernel import KernelParams, _velocity_blocks, point_stokeslet
 
 __all__ = [
     "evaluate_velocity",
@@ -67,37 +67,59 @@ def _as_points(points):
     return pts
 
 
-def evaluate_velocity(mesh: TriMesh, forces, points, params: KernelParams) -> np.ndarray:
-    """Velocity at arbitrary points from vertex force densities, shape (M, 3)."""
+def _as_rows(values, rows: int, name: str) -> np.ndarray:
+    """values as a float array of shape (rows, 3); anything else is rejected."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (rows, 3):
+        raise ValueError(f"{name} must have shape ({rows}, 3), got {values.shape}")
+    return values
+
+
+def _evaluate(mesh: TriMesh, corner_forces, points, params: KernelParams):
+    """Velocity at points, shape (M, 3), from the forces at each face corner,
+    shape (F, 3, 3): face, corner, xyz."""
     params.validate_for_mesh(mesh)
-    forces = np.asarray(forces, dtype=float)
-    if forces.shape != (mesh.num_vertices, 3):
-        raise ValueError("forces must have shape (num_vertices, 3)")
     pts = _as_points(points)
     u = np.zeros_like(pts)
     for chunk in _face_chunks(mesh.num_faces, len(pts)):
         blocks = _velocity_blocks(pts, mesh.frames.select(chunk), params)
-        corner_forces = forces[mesh.faces[chunk]]  # (chunk, corner, 3)
         for k, Mk in enumerate(blocks):
-            u += np.einsum("fmij,fj->mi", Mk, corner_forces[:, k])
+            u += np.einsum("fmij,fj->mi", Mk, corner_forces[chunk, k])
     return u
+
+
+def _assemble(mesh: TriMesh, points, corner_unknowns, num_unknowns: int,
+              params: KernelParams) -> np.ndarray:
+    """Dense matrix mapping stacked unknown forces to the velocities at
+    points; corner_unknowns, shape (F, 3), holds the unknown that carries the
+    force at each face corner."""
+    params.validate_for_mesh(mesh)
+    m = len(points)
+    A = np.zeros((m, 3, num_unknowns, 3))
+    for chunk in _face_chunks(mesh.num_faces, m):
+        blocks = _velocity_blocks(points, mesh.frames.select(chunk), params)
+        # one face at a time: a chunk may repeat an unknown, and a
+        # fancy-indexed += would keep only one of the repeated contributions
+        for p, unknowns in enumerate(corner_unknowns[chunk]):
+            for j, Mk in zip(unknowns, blocks):
+                A[:, :, j, :] += Mk[p]
+    return A.reshape(3 * m, 3 * num_unknowns)
+
+
+def _own_face(mesh: TriMesh) -> np.ndarray:
+    """Each face's own index at its three corners, shape (F, 3)."""
+    return np.repeat(np.arange(mesh.num_faces)[:, None], 3, axis=1)
+
+
+def evaluate_velocity(mesh: TriMesh, forces, points, params: KernelParams) -> np.ndarray:
+    """Velocity at arbitrary points from vertex force densities, shape (M, 3)."""
+    forces = _as_rows(forces, mesh.num_vertices, "forces")
+    return _evaluate(mesh, forces[mesh.faces], points, params)
 
 
 def assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
     """Dense 3N x 3N matrix mapping stacked vertex forces to vertex velocities."""
-    params.validate_for_mesh(mesh)
-    n = mesh.num_vertices
-    A = np.zeros((n, 3, n, 3))
-    pts = mesh.vertices
-    for chunk in _face_chunks(mesh.num_faces, n):
-        M0, M1, M2 = _velocity_blocks(pts, mesh.frames.select(chunk), params)
-        # one face at a time: a chunk may repeat a vertex, and a fancy-indexed
-        # += would keep only one of the repeated contributions
-        for p, (a, b, c) in enumerate(mesh.faces[chunk]):
-            A[:, :, a, :] += M0[p]
-            A[:, :, b, :] += M1[p]
-            A[:, :, c, :] += M2[p]
-    return A.reshape(3 * n, 3 * n)
+    return _assemble(mesh, mesh.vertices, mesh.faces, mesh.num_vertices, params)
 
 
 def _dense_solve(A, b):
@@ -117,9 +139,7 @@ def solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
     Pass a precomputed `matrix` (from assemble_resistance) to amortize assembly
     across multiple right-hand sides.
     """
-    velocities = np.asarray(velocities, dtype=float)
-    if velocities.shape != (mesh.num_vertices, 3):
-        raise ValueError("velocities must have shape (num_vertices, 3)")
+    velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
     A = assemble_resistance(mesh, params) if matrix is None else matrix
     f = _dense_solve(A, velocities.reshape(-1))
     return f.reshape(-1, 3)
@@ -160,15 +180,17 @@ def _vertex_moments(mesh: TriMesh, center):
 
 def net_force(mesh: TriMesh, forces) -> np.ndarray:
     """Total force: integral of the piecewise-linear density over the surface."""
+    forces = _as_rows(forces, mesh.num_vertices, "forces")
     weights, _ = _vertex_moments(mesh, np.zeros(3))
-    return weights @ np.asarray(forces, dtype=float)
+    return weights @ forces
 
 
 def net_torque(mesh: TriMesh, forces, center=None) -> np.ndarray:
     """Total torque about `center` (default: vertex centroid)."""
+    forces = _as_rows(forces, mesh.num_vertices, "forces")
     yc = mesh.vertex_centroid() if center is None else center
     _, blocks = _vertex_moments(mesh, yc)
-    return np.einsum("nij,nj->i", blocks, np.asarray(forces, dtype=float))
+    return np.einsum("nij,nj->i", blocks, forces)
 
 
 @dataclass(frozen=True)
@@ -189,10 +211,8 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
     augmented by zero net force and zero net torque about the body center c
     (default: vertex centroid), making the (3N + 6) system square.
     """
-    slip = np.asarray(slip, dtype=float)
     n = mesh.num_vertices
-    if slip.shape != (n, 3):
-        raise ValueError("slip must have shape (num_vertices, 3)")
+    slip = _as_rows(slip, n, "slip")
     c = mesh.vertex_centroid() if center is None else np.asarray(center, dtype=float)
 
     size = 3 * n + 6
@@ -218,27 +238,12 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
 # baseline 1: point Stokeslets with vertex-lumped quadrature weights
 
 
-def _stokeslet_batch(pts, sources, eps):
-    """Pairwise kernel matrices, shape (M, N, 3, 3)."""
-    d = pts[:, None, :] - sources[None, :, :]
-    r2 = np.einsum("mnk,mnk->mn", d, d) + eps * eps
-    r = np.sqrt(r2)
-    r3 = r2 * r
-    S = np.zeros((len(pts), len(sources), 3, 3))
-    diag = 1.0 / r + eps * eps / r3
-    S[..., 0, 0] = diag
-    S[..., 1, 1] = diag
-    S[..., 2, 2] = diag
-    S += d[..., :, None] * d[..., None, :] / r3[..., None, None]
-    return S
-
-
 def baseline_mrs_velocity(mesh: TriMesh, forces, points, params: KernelParams):
     """Velocity from weighted point Stokeslets at the vertices."""
-    forces = np.asarray(forces, dtype=float)
+    forces = _as_rows(forces, mesh.num_vertices, "forces")
     pts = _as_points(points)
     w, _ = _vertex_moments(mesh, np.zeros(3))
-    S = _stokeslet_batch(pts, mesh.vertices, params.eps)
+    S = point_stokeslet(pts[:, None, :], mesh.vertices[None, :, :], params)
     return np.einsum("mnij,nj->mi", S, w[:, None] * forces) / (8.0 * np.pi * params.mu)
 
 
@@ -246,14 +251,14 @@ def mrs_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
     params.validate_for_mesh(mesh)
     n = mesh.num_vertices
     w, _ = _vertex_moments(mesh, np.zeros(3))
-    S = _stokeslet_batch(mesh.vertices, mesh.vertices, params.eps)
+    S = point_stokeslet(mesh.vertices[:, None, :], mesh.vertices[None, :, :], params)
     A = S * w[None, :, None, None] / (8.0 * np.pi * params.mu)
     return A.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
 def mrs_solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
                          matrix=None) -> np.ndarray:
-    velocities = np.asarray(velocities, dtype=float)
+    velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
     A = mrs_assemble_resistance(mesh, params) if matrix is None else matrix
     f = _dense_solve(A, velocities.reshape(-1))
     return f.reshape(-1, 3)
@@ -265,22 +270,14 @@ def mrs_solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
 
 def constant_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
     """3F x 3F matrix mapping per-face constant forces to centroid velocities."""
-    params.validate_for_mesh(mesh)
-    nf = mesh.num_faces
-    centroids = mesh.face_centroids()
-    A = np.zeros((nf, 3, nf, 3))
-    for chunk in _face_chunks(nf, nf):
-        M0, M1, M2 = _velocity_blocks(centroids, mesh.frames.select(chunk), params)
-        A[:, :, chunk, :] = (M0 + M1 + M2).transpose(1, 2, 0, 3)
-    return A.reshape(3 * nf, 3 * nf)
+    return _assemble(mesh, mesh.face_centroids(), _own_face(mesh), mesh.num_faces,
+                     params)
 
 
 def baseline_constant_solve(mesh: TriMesh, centroid_velocities,
                               params: KernelParams, matrix=None) -> np.ndarray:
     """Per-face constant forces from prescribed centroid velocities, (F, 3)."""
-    v = np.asarray(centroid_velocities, dtype=float)
-    if v.shape != (mesh.num_faces, 3):
-        raise ValueError("centroid_velocities must have shape (num_faces, 3)")
+    v = _as_rows(centroid_velocities, mesh.num_faces, "centroid_velocities")
     A = constant_assemble_resistance(mesh, params) if matrix is None else matrix
     f = _dense_solve(A, v.reshape(-1))
     return f.reshape(-1, 3)
@@ -288,11 +285,5 @@ def baseline_constant_solve(mesh: TriMesh, centroid_velocities,
 
 def constant_evaluate_velocity(mesh: TriMesh, face_forces, points,
                                params: KernelParams) -> np.ndarray:
-    params.validate_for_mesh(mesh)
-    face_forces = np.asarray(face_forces, dtype=float)
-    pts = _as_points(points)
-    u = np.zeros_like(pts)
-    for chunk in _face_chunks(mesh.num_faces, len(pts)):
-        M0, M1, M2 = _velocity_blocks(pts, mesh.frames.select(chunk), params)
-        u += np.einsum("fmij,fj->mi", M0 + M1 + M2, face_forces[chunk])
-    return u
+    face_forces = _as_rows(face_forces, mesh.num_faces, "face_forces")
+    return _evaluate(mesh, face_forces[_own_face(mesh)], points, params)

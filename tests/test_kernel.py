@@ -14,12 +14,7 @@ from stokeslet_surfaces import (
     triangle_frame,
     triangle_velocity,
 )
-from stokeslet_surfaces.kernel import (
-    _boundary_ab,
-    _segment_tables,
-    _t001_arrays,
-    _t003_arrays,
-)
+from stokeslet_surfaces.kernel import _boundary_ab, _side
 
 import oracles
 
@@ -36,15 +31,38 @@ def test_point_stokeslet_structure():
     # coincident points stay finite thanks to the regularization
     S0 = point_stokeslet([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], params)
     assert np.allclose(S0, 2.0 / 0.1 * np.eye(3))
+    # points (..., 3) broadcast: one matrix per pair, equal to the single calls
+    rng = np.random.default_rng(1)
+    xs, ys = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+    batch = point_stokeslet(xs[:, None, :], ys[None, :, :], params)
+    assert batch.shape == (4, 5, 3, 3)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert np.allclose(batch[i, j], point_stokeslet(x, y, params),
+                               rtol=1e-14, atol=0)
 
 
-def _segment(xf, a, b, eps, with_s1m1=False):
-    """Segment integrals S[m, q] of one segment at one field point, as floats."""
-    table = _segment_tables(np.asarray(xf, dtype=float)[None, :],
-                            np.atleast_2d(a), np.atleast_2d(b), eps,
-                            with_s1m1=with_s1m1)
-    assert all(v.shape == (1, 1) for v in table.values())
-    return {k: float(v[0, 0]) for k, v in table.items()}
+def _side_segment(frame, a, b, xf, eps):
+    """Segment integrals S[m, q] of the side from corner a to corner b of a
+    one-face frame at one field point, as floats."""
+    xb = np.asarray(xf, dtype=float)[None, :]
+    x = [xb - y[:, None] for y in (frame.y0, frame.y1, frame.y2)]
+    R = [np.sqrt(np.sum(xj * xj, axis=-1) + eps * eps) for xj in x]
+    z = np.sum(x[0] * frame.nhat[:, None], axis=-1)
+    S, c003, c001 = _side(frame, a, b, x, R, np.sqrt(z * z + eps * eps), eps)
+    assert all(v.shape == (1, 1) for v in (*S.values(), c003, c001))
+    return {k: float(v[0, 0]) for k, v in S.items()}
+
+
+def _segment(xf, a, b, eps):
+    """Segment integrals S[m, q] from a to b, read from side 0 -> 1 of a
+    triangle (a, b, c) with c off the segment's line."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    off = np.cross(b - a, [1.0, 0.0, 0.0])
+    if np.linalg.norm(off) < 0.1 * np.linalg.norm(b - a):
+        off = np.cross(b - a, [0.0, 1.0, 0.0])
+    frame = triangle_frame(a, b, 0.5 * (a + b) + off)
+    return _side_segment(frame, 0, 1, xf, eps)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -67,8 +85,8 @@ def test_segment_recurse_matches_quadrature(seed):
     rng = np.random.default_rng(100 + seed)
     a, b, xf = rng.normal(size=(3, 3))
     eps = 10 ** rng.uniform(-2, 0)
-    s = _segment(xf, a, b, eps, with_s1m1=True)
-    for (m, q) in [(1, 1), (2, 1), (1, -1)]:
+    s = _segment(xf, a, b, eps)
+    for (m, q) in [(1, 1), (2, 1)]:
         ref = oracles.segment_integral_quadrature(xf, a, b, eps, m, q)
         assert s[(m, q)] == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
@@ -90,14 +108,10 @@ def test_segment_base_near_collinear_field_point():
     )
 
 
-def _sides(frame):
-    """The sides y0->y1 (e1), y1->y2 (e2) and y2->y0 (d) in traversal order."""
-    return ((frame.y0, frame.y1), (frame.y1, frame.y2), (frame.y2, frame.y0))
-
-
 def _side_bases(frame, xf, eps):
-    return dict(zip(("e1", "e2", "d"),
-                    (_segment(xf, a, b, eps) for a, b in _sides(frame))))
+    """Segment integrals of the sides y0->y1 (e1), y1->y2 (e2) and y2->y0 (d)."""
+    return {name: _side_segment(frame, a, b, xf, eps)
+            for name, (a, b) in zip(("e1", "e2", "d"), ((0, 1), (1, 2), (2, 0)))}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -126,24 +140,18 @@ def test_boundary_ab_matches_direct_combination(seed):
 
 
 def _t003(xf, frame, eps):
-    value, _ = _t003_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
-    return float(value[0, 0])
+    return t_table(xf, frame, eps)[(0, 0, 3)]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_t003_t001_match_quadrature(seed):
     rng = np.random.default_rng(300 + seed)
     frame, xf, _, eps = oracles.random_triangle_case(rng)
-    xb = xf[None, :]
-    t003_values, gamma = _t003_arrays(xb, frame, eps)
-    assert t003_values.shape == gamma.shape == (1, 1)
-    v3 = float(t003_values[0, 0])
-    assert v3 == pytest.approx(
+    table = t_table(xf, frame, eps)
+    assert table[(0, 0, 3)] == pytest.approx(
         oracles.t_integral_quadrature(xf, frame, eps, 0, 0, 3), rel=1e-9
     )
-    side_s0p1 = [_segment_tables(xb, a, b, eps)[(0, 1)] for a, b in _sides(frame)]
-    v1 = float(_t001_arrays(xb, frame, eps, t003_values, gamma, side_s0p1)[0, 0])
-    assert v1 == pytest.approx(
+    assert table[(0, 0, 1)] == pytest.approx(
         oracles.t_integral_quadrature(xf, frame, eps, 0, 0, 1), rel=1e-9
     )
 

@@ -17,6 +17,7 @@ from stokeslet_surfaces import (
     make_icosphere,
     mesh_stats,
     mrs_assemble_resistance,
+    mrs_solve_resistance,
     net_force,
     net_torque,
     solve_resistance,
@@ -88,10 +89,12 @@ def test_chunked_assembly_matches_one_face_blocks():
     assert np.abs(A - stacked).max() <= 1e-13 * np.abs(stacked).max()
 
 
+@pytest.mark.parametrize("elements", ["linear", "constant"])
 @settings(max_examples=12, deadline=None)
 @given(f=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
        log_eps=st.floats(-4.0, -1.0))
-def test_assembled_matrix_matches_evaluation_on_random_meshes(f, seed, log_eps):
+def test_assembled_matrix_matches_evaluation_on_random_meshes(elements, f, seed,
+                                                              log_eps):
     # rotated icosphere with vertices jittered by up to 0.1 h
     rng = np.random.default_rng(seed)
     sphere = make_icosphere(f)
@@ -101,9 +104,15 @@ def test_assembled_matrix_matches_evaluation_on_random_meshes(f, seed, log_eps):
         Q[:, 0] = -Q[:, 0]
     mesh = TriMesh((sphere.vertices + jitter) @ Q.T, sphere.faces)
     params = KernelParams(eps=10.0**log_eps)
-    forces = rng.normal(size=(mesh.num_vertices, 3))
-    via_matrix = (assemble_resistance(mesh, params) @ forces.reshape(-1)).reshape(-1, 3)
-    direct = evaluate_velocity(mesh, forces, mesh.vertices, params)
+    if elements == "linear":
+        forces = rng.normal(size=(mesh.num_vertices, 3))
+        A = assemble_resistance(mesh, params)
+        direct = evaluate_velocity(mesh, forces, mesh.vertices, params)
+    else:
+        forces = rng.normal(size=(mesh.num_faces, 3))
+        A = constant_assemble_resistance(mesh, params)
+        direct = constant_evaluate_velocity(mesh, forces, mesh.face_centroids(), params)
+    via_matrix = (A @ forces.reshape(-1)).reshape(-1, 3)
     np.testing.assert_allclose(via_matrix, direct, rtol=1e-12,
                                atol=1e-12 * np.abs(direct).max())
 
@@ -218,6 +227,35 @@ def test_floor_validation_in_assembly(small_sphere, entry):
         entry(small_sphere, KernelParams(eps=1e-12))
 
 
+_ROW_ENTRIES = {
+    "evaluate_velocity": (lambda mesh, values, params:
+                          evaluate_velocity(mesh, values, [[2.0, 0.0, 0.0]], params)),
+    "solve_resistance": solve_resistance,
+    "solve_swimmer": solve_swimmer,
+    "net_force": lambda mesh, values, params: net_force(mesh, values),
+    "net_torque": lambda mesh, values, params: net_torque(mesh, values),
+    "baseline_mrs_velocity": (lambda mesh, values, params:
+                              baseline_mrs_velocity(mesh, values, [[2.0, 0.0, 0.0]],
+                                                    params)),
+    "mrs_solve_resistance": mrs_solve_resistance,
+    "baseline_constant_solve": baseline_constant_solve,
+    "constant_evaluate_velocity": (lambda mesh, values, params:
+                                   constant_evaluate_velocity(
+                                       mesh, values, [[2.0, 0.0, 0.0]], params)),
+}
+
+
+@pytest.mark.parametrize("shape", ["(3,)", "(1, 3)", "(rows,)"])
+@pytest.mark.parametrize("entry", list(_ROW_ENTRIES))
+def test_malformed_force_arrays_rejected(entry, shape):
+    # per-vertex (per-face for the constant elements) arrays must be (rows, 3)
+    mesh = make_icosphere(1)
+    rows = mesh.num_faces if "constant" in entry else mesh.num_vertices
+    values = np.ones({"(3,)": (3,), "(1, 3)": (1, 3), "(rows,)": (rows,)}[shape])
+    with pytest.raises(ValueError, match="must have shape"):
+        _ROW_ENTRIES[entry](mesh, values, KernelParams(eps=1e-2))
+
+
 def test_condition_number_basics():
     assert condition_number(np.eye(5)) == pytest.approx(1.0)
     assert condition_number(np.diag([10.0, 1.0, 0.1])) == pytest.approx(100.0)
@@ -302,8 +340,6 @@ def test_mrs_resistance_solves(small_sphere):
     params = KernelParams(eps=5e-2)
     M = mrs_assemble_resistance(small_sphere, params)
     u = np.tile([1.0, 0.0, 0.0], (small_sphere.num_vertices, 1))
-    from stokeslet_surfaces import mrs_solve_resistance
-
     forces = mrs_solve_resistance(small_sphere, u, params, matrix=M)
     assert np.all(np.isfinite(forces))
 

@@ -41,20 +41,15 @@ from .reference import (
     sphere_translation_reference,
     spheroid_net_torque,
     spheroid_rotation_reference,
-    squirmer_reference,
     squirmer_slip,
 )
 from .solver import (
     SwimmerSolution,
     assemble_resistance,
-    baseline_constant_solve,
     baseline_mrs_velocity,
-    condition_number,
     constant_assemble_resistance,
     constant_evaluate_velocity,
     evaluate_velocity,
-    mrs_assemble_resistance,
-    mrs_solve_resistance,
     net_force,
     net_torque,
     solve_resistance,

@@ -12,7 +12,6 @@ import sys
 
 import numpy as np
 
-from . import reference as ref
 from . import solver, studies
 from .errors import (
     DegenerateTriangleError,
@@ -152,20 +151,11 @@ def _run_mesh(config):
     return EXIT_OK
 
 
-def _sphere_tractions(mesh, config):
-    if config.traction == "translate":
-        t, _ = ref.sphere_translation_reference(
-            config.a * np.array([1.0, 0, 0]), config.a, [1.0, 0, 0], config.mu
-        )
-        return np.tile(t, (mesh.num_vertices, 1))
-    return ref.sphere_rotation_reference(mesh.vertices, config.a, [0, 0, 1.0], config.mu)[0]
-
-
 def _run_eval(config):
     mesh = _build_mesh(config)
     params = KernelParams(eps=config.eps, mu=config.mu)
     points = np.array(config.point) if config.point else mesh.vertices
-    forces = _sphere_tractions(mesh, config)
+    forces, _ = studies._rigid_sphere(mesh, config.traction, config.a, config.mu)
     u = solver.evaluate_velocity(mesh, forces, points, params)
     for p, v in zip(points, u):
         print(f"u({p[0]:g},{p[1]:g},{p[2]:g}) = ({v[0]:.9g}, {v[1]:.9g}, {v[2]:.9g})")
@@ -178,19 +168,14 @@ def _run_solve(config):
     mesh = _build_mesh(config)
     params = KernelParams(eps=config.eps, mu=config.mu)
     if config.problem == "squirmer":
-        r = np.linalg.norm(mesh.vertices, axis=1)
-        theta = np.arccos(np.clip(mesh.vertices[:, 2] / r, -1, 1))
-        phi = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
-        slip = ref.squirmer_slip(theta, phi)
+        slip = studies._squirmer_slip(mesh, B1=1.5)
         sol = solver.solve_swimmer(mesh, slip, params, center=np.zeros(3))
         forces = sol.forces
         print(f"squirmer U = ({sol.U[0]:.6g}, {sol.U[1]:.6g}, {sol.U[2]:.6g}) "
               f"Omega = ({sol.Omega[0]:.6g}, {sol.Omega[1]:.6g}, {sol.Omega[2]:.6g})")
     else:
-        if config.problem == "drag":
-            bc = np.tile([1.0, 0.0, 0.0], (mesh.num_vertices, 1))
-        else:
-            bc = np.cross([0.0, 0.0, 1.0], mesh.vertices)
+        kind = "translate" if config.problem == "drag" else "rotate"
+        _, bc = studies._rigid_sphere(mesh, kind, config.a, config.mu)
         forces = solver.solve_resistance(mesh, bc, params)
         drag = -solver.net_force(mesh, forces)
         torque = -solver.net_torque(mesh, forces, center=np.zeros(3))

@@ -317,41 +317,37 @@ def make_spheroid_mesh(f: int, a: float, b: float, grading: float = 0.0) -> TriM
 # grid-triangulated box and pipe
 
 
-def _grid_quad_faces(point_index, n1, n2, flip):
-    """Triangulate an n1 x n2 grid of quads; point_index(i, j) -> vertex id."""
+def _lattice_walls(position, walls):
+    """Vertices and faces of grid-triangulated walls on an integer lattice.
+
+    Each wall is (axis, index, u_axis, nu, v_axis, nv, flip): the lattice
+    plane lat[axis] = index, cut into nu x nv quads along u_axis and v_axis,
+    each quad split into two triangles whose winding `flip` reverses.
+    position(lat) gives the coordinates of lattice point lat. Points shared
+    by walls become one vertex, deduplicated by their exact integer keys.
+    """
+    verts = []
+    index: dict[tuple, int] = {}
     faces = []
-    for i in range(n1):
-        for j in range(n2):
-            p00 = point_index(i, j)
-            p10 = point_index(i + 1, j)
-            p01 = point_index(i, j + 1)
-            p11 = point_index(i + 1, j + 1)
-            if flip:
-                faces.append((p00, p01, p11))
-                faces.append((p00, p11, p10))
-            else:
-                faces.append((p00, p10, p11))
-                faces.append((p00, p11, p01))
-    return faces
+    for axis, fixed, u_axis, nu, v_axis, nv, flip in walls:
+        def pt(i, j):
+            lat = [0, 0, 0]
+            lat[axis], lat[u_axis], lat[v_axis] = fixed, i, j
+            key = tuple(lat)
+            if key not in index:
+                index[key] = len(verts)
+                verts.append(position(lat))
+            return index[key]
 
-
-class _VertexPool:
-    """Deduplicates grid vertices by exact integer lattice keys."""
-
-    def __init__(self):
-        self.verts: list[tuple] = []
-        self.index: dict[tuple, int] = {}
-
-    def add(self, key, xyz) -> int:
-        idx = self.index.get(key)
-        if idx is None:
-            idx = len(self.verts)
-            self.verts.append(xyz)
-            self.index[key] = idx
-        return idx
-
-    def array(self) -> np.ndarray:
-        return np.array(self.verts, dtype=float)
+        for i in range(nu):
+            for j in range(nv):
+                p00, p10 = pt(i, j), pt(i + 1, j)
+                p01, p11 = pt(i, j + 1), pt(i + 1, j + 1)
+                if flip:
+                    faces += [(p00, p01, p11), (p00, p11, p10)]
+                else:
+                    faces += [(p00, p10, p11), (p00, p11, p01)]
+    return np.array(verts, dtype=float), np.array(faces, dtype=np.int64)
 
 
 def make_box_mesh(center, half_side: float, grid_h: float) -> TriMesh:
@@ -363,23 +359,12 @@ def make_box_mesh(center, half_side: float, grid_h: float) -> TriMesh:
     center = np.asarray(center, dtype=float)
     n = max(1, round(2 * half_side / grid_h))
     step = 2 * half_side / n
-    pool = _VertexPool()
-    faces = []
     # each cube face: fixed axis at -/+ half_side, grid over the other two
-    for axis in range(3):
-        u_axis, v_axis = (axis + 1) % 3, (axis + 2) % 3
-        for side in (0, n):
-            def pt(i, j, axis=axis, u_axis=u_axis, v_axis=v_axis, side=side):
-                lat = [0, 0, 0]
-                lat[axis] = side
-                lat[u_axis] = i
-                lat[v_axis] = j
-                xyz = center + np.array(lat) * step - half_side
-                return pool.add(tuple(lat), tuple(xyz))
-
-            faces.extend(_grid_quad_faces(pt, n, n, flip=(side == 0)))
-    vertices = pool.array()
-    faces = _orient_outward(vertices, np.array(faces, dtype=np.int64), center)
+    walls = [(axis, side, (axis + 1) % 3, n, (axis + 2) % 3, n, side == 0)
+             for axis in range(3) for side in (0, n)]
+    vertices, faces = _lattice_walls(
+        lambda lat: center + np.array(lat) * step - half_side, walls)
+    faces = _orient_outward(vertices, faces, center)
     return TriMesh(vertices, faces)
 
 
@@ -394,31 +379,11 @@ def make_pipe_mesh(L: float, a: float, b: float, grid_h: float) -> TriMesh:
     ny = max(1, round(2 * a / grid_h))
     nz = max(1, round(2 * b / grid_h))
     dx, dy, dz = 2 * L / nx, 2 * a / ny, 2 * b / nz
-    pool = _VertexPool()
-    faces = []
-
-    def add_wall(fixed_axis, fixed_idx, free_axis, free_n, flip):
-        def pt(i, j):
-            lat = [0, 0, 0]
-            lat[0] = i
-            lat[fixed_axis] = fixed_idx
-            lat[free_axis] = j
-            xyz = (
-                -L + lat[0] * dx,
-                -a + lat[1] * dy,
-                -b + lat[2] * dz,
-            )
-            return pool.add(tuple(lat), xyz)
-
-        faces.extend(_grid_quad_faces(pt, nx, free_n, flip=flip))
-
     # walls y = -a, y = +a (grid over x, z); walls z = -b, z = +b (over x, y)
-    add_wall(1, 0, 2, nz, flip=True)
-    add_wall(1, ny, 2, nz, flip=False)
-    add_wall(2, 0, 1, ny, flip=False)
-    add_wall(2, nz, 1, ny, flip=True)
-    vertices = pool.array()
-    faces = np.array(faces, dtype=np.int64)
+    walls = [(1, 0, 0, nx, 2, nz, True), (1, ny, 0, nx, 2, nz, False),
+             (2, 0, 0, nx, 1, ny, False), (2, nz, 0, nx, 1, ny, True)]
+    vertices, faces = _lattice_walls(
+        lambda lat: (-L + lat[0] * dx, -a + lat[1] * dy, -b + lat[2] * dz), walls)
     # orient normals toward the pipe axis (into the fluid)
     v = vertices[faces]
     normals = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])

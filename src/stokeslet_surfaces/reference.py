@@ -20,7 +20,6 @@ __all__ = [
     "sphere_rotation_reference",
     "spheroid_rotation_reference",
     "spheroid_net_torque",
-    "squirmer_reference",
     "squirmer_slip",
     "pipe_reference",
     "flux_without_cube",
@@ -90,13 +89,6 @@ def spheroid_rotation_reference(x, a: float, b: float, mu: float):
     n_dot_x = np.sum(nhat * x, axis=-1, keepdims=True)
     traction = -3.0 * n_dot_x / (8.0 * np.pi * a * b**4) * np.cross(M, x)
     return traction, M
-
-
-def squirmer_reference(r: float, theta: float, a: float, B1: float = 1.5):
-    """(u_r, u_theta) of the steady squirmer flow in the co-moving frame,
-    for the tangential-slip mode of amplitude B1 (unit swim speed at 3/2)."""
-    s = (B1 / 1.5) * (a / r) ** 3
-    return s * np.cos(theta), 0.5 * s * np.sin(theta)
 
 
 def squirmer_slip(theta, phi, B1: float = 1.5) -> np.ndarray:

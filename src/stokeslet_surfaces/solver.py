@@ -33,14 +33,10 @@ __all__ = [
     "solve_resistance",
     "solve_swimmer",
     "SwimmerSolution",
-    "condition_number",
     "net_force",
     "net_torque",
     "baseline_mrs_velocity",
-    "mrs_assemble_resistance",
-    "mrs_solve_resistance",
     "constant_assemble_resistance",
-    "baseline_constant_solve",
     "constant_evaluate_velocity",
 ]
 
@@ -140,14 +136,12 @@ def solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
     across multiple right-hand sides.
     """
     velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
-    A = assemble_resistance(mesh, params) if matrix is None else matrix
+    A = assemble_resistance(mesh, params) if matrix is None else np.asarray(matrix)
+    size = 3 * mesh.num_vertices
+    if A.shape != (size, size):
+        raise ValueError(f"matrix must have shape ({size}, {size}), got {A.shape}")
     f = _dense_solve(A, velocities.reshape(-1))
     return f.reshape(-1, 3)
-
-
-def condition_number(matrix) -> float:
-    """2-norm condition number (via SVD)."""
-    return float(np.linalg.cond(np.asarray(matrix, dtype=float)))
 
 
 def _skew(r):
@@ -247,23 +241,6 @@ def baseline_mrs_velocity(mesh: TriMesh, forces, points, params: KernelParams):
     return np.einsum("mnij,nj->mi", S, w[:, None] * forces) / (8.0 * np.pi * params.mu)
 
 
-def mrs_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
-    params.validate_for_mesh(mesh)
-    n = mesh.num_vertices
-    w, _ = _vertex_moments(mesh, np.zeros(3))
-    S = point_stokeslet(mesh.vertices[:, None, :], mesh.vertices[None, :, :], params)
-    A = S * w[None, :, None, None] / (8.0 * np.pi * params.mu)
-    return A.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-
-
-def mrs_solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
-                         matrix=None) -> np.ndarray:
-    velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
-    A = mrs_assemble_resistance(mesh, params) if matrix is None else matrix
-    f = _dense_solve(A, velocities.reshape(-1))
-    return f.reshape(-1, 3)
-
-
 # ---------------------------------------------------------------------------
 # baseline 2: constant force density per face, collocated at centroids
 
@@ -272,15 +249,6 @@ def constant_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndar
     """3F x 3F matrix mapping per-face constant forces to centroid velocities."""
     return _assemble(mesh, mesh.face_centroids(), _own_face(mesh), mesh.num_faces,
                      params)
-
-
-def baseline_constant_solve(mesh: TriMesh, centroid_velocities,
-                              params: KernelParams, matrix=None) -> np.ndarray:
-    """Per-face constant forces from prescribed centroid velocities, (F, 3)."""
-    v = _as_rows(centroid_velocities, mesh.num_faces, "centroid_velocities")
-    A = constant_assemble_resistance(mesh, params) if matrix is None else matrix
-    f = _dense_solve(A, v.reshape(-1))
-    return f.reshape(-1, 3)
 
 
 def constant_evaluate_velocity(mesh: TriMesh, face_forces, points,

@@ -10,7 +10,6 @@ from stokeslet_surfaces import (
     sphere_translation_reference,
     spheroid_net_torque,
     spheroid_rotation_reference,
-    squirmer_reference,
     squirmer_slip,
 )
 
@@ -78,16 +77,6 @@ def test_spheroid_traction_poles_vanish():
 def test_spheroid_requires_prolate():
     with pytest.raises(ValueError):
         spheroid_net_torque(1.0, 1.0, 1.0)
-
-
-def test_squirmer_reference_values():
-    ur, ut = squirmer_reference(1.0, np.pi / 2, 1.0)
-    assert ur == pytest.approx(0.0, abs=1e-15)
-    assert ut == pytest.approx(0.5)
-    ur0, _ = squirmer_reference(1.0, 0.0, 1.0)
-    assert ur0 == pytest.approx(1.0)
-    # swim speed is (2/3) B1 = 1 at B1 = 3/2
-    assert (2.0 / 3.0) * 1.5 == 1.0
 
 
 def test_point_arrays_match_single_points():

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 regularization below the
 floating-point floor, 4 singular linear system, 5 I/O or mesh-format error
-(including a degenerate triangle).
+(including a degenerate triangle, and a squirmer mesh with a vertex at the
+origin).
 """
 
 from __future__ import annotations

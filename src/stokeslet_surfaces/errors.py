@@ -27,4 +27,4 @@ class SingularSystemError(StokesletSurfacesError):
 
 
 class MeshFormatError(StokesletSurfacesError):
-    """Malformed mesh file."""
+    """Malformed mesh file, or a mesh the requested problem is undefined on."""

@@ -14,10 +14,13 @@ distances once and visits each side once (`_side`), which yields the side's
 segment integrals and its terms of both contour sums.
 
 All functions here are pure and broadcast over a chunk of F faces (one
-struct-of-arrays TriangleFrame) times a batch of M field points, giving
-arrays of shape (F, M) and blocks of shape (F, M, 3, 3). `t_table` and
-`triangle_velocity` evaluate one face at one point through the same path
-that assembly uses.
+struct-of-arrays TriangleFrame) times a batch of M field points. Scalars
+have shape (F, M); vectors are component-major, (3, F, M), and blocks
+(3, 3, F, M), so that every array operation runs over contiguous F*M runs.
+Each corner block is formed in rank-3 form from one set of vectors p, q, r
+(`_corner_terms`), which both the blocks and the force contraction of
+forward evaluation use. `t_table` and `triangle_velocity` evaluate one face
+at one point through the same path that assembly uses.
 """
 
 from __future__ import annotations
@@ -106,10 +109,21 @@ def _guarded_atanh(u):
     return np.arctanh(np.clip(u, -_ATANH_LIMIT, _ATANH_LIMIT))
 
 
+def _dot(a, b):
+    """Dot products over the leading component axis of a and b, which
+    broadcast against each other: (3, F, M) with (3, F, 1) gives (F, M)."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _columns(rows):
+    """Per-face vectors of shape (F, 3) as component-major (3, F, 1)."""
+    return rows.T[:, :, None]
+
+
 def _side(frame: TriangleFrame, a: int, b: int, x, R, gamma, eps):
     """Everything the T table needs from the side running from corner a to b.
 
-    x[j] = xf - y_j, shape (F, M, 3), and R[j] = sqrt(|x[j]|**2 + eps**2),
+    x[j] = xf - y_j, shape (3, F, M), and R[j] = sqrt(|x[j]|**2 + eps**2),
     shape (F, M), for the corners j = 0, 1, 2 of the frame; gamma is
     sqrt(z**2 + eps**2), z the height of xf above the face plane.
 
@@ -132,7 +146,7 @@ def _side(frame: TriangleFrame, a: int, b: int, x, R, gamma, eps):
     inward = _row_dot((yc - ya)[:, None], n_side) > 0
     n_side = np.where(inward, -n_side, n_side)
 
-    u0 = _row_dot(x0, e)
+    u0 = _dot(x0, _columns(e))
     u1 = u0 + L
     P = u0 / L
     # squared distance from the segment line plus eps^2; >= eps^2 > 0
@@ -146,7 +160,7 @@ def _side(frame: TriangleFrame, a: int, b: int, x, R, gamma, eps):
     s2p1 = R1 / L**2 - s0m1 / L**2 - P * s1p1
     S = {(0, -1): s0m1, (0, 1): s0p1, (1, 1): s1p1, (2, 1): s2p1}
 
-    xn = _row_dot(x0, n_side)
+    xn = _dot(x0, _columns(n_side))
     xnL2 = (xn / L) ** 2
     gL = gamma / L
     Qsq = xnL2 + gL * gL
@@ -195,11 +209,13 @@ def _boundary_ab(m, n, q, e1, e2, d):
 
 
 def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
-    """All 13 T integrals for F faces and M field points, values (F, M), and
-    the offsets xf - y0, shape (F, M, 3)."""
-    x = [xf - y[:, None] for y in (frame.y0, frame.y1, frame.y2)]
-    R = [np.sqrt(np.einsum("fmk,fmk->fm", xj, xj) + eps * eps) for xj in x]
-    z0 = _row_dot(x[0], frame.nhat)
+    """All 13 T integrals for F faces and the M field points xf, shape (M, 3),
+    values (F, M), and the offsets xf - y0, shape (3, F, M)."""
+    corners = np.stack([_columns(y) for y in (frame.y0, frame.y1, frame.y2)])
+    x = xf.T[None, :, None, :] - corners  # corner, xyz, face, point
+    sq = x * x
+    R = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + eps * eps)
+    z0 = _dot(x[0], _columns(frame.nhat))
     gamma = np.sqrt(z0 * z0 + eps * eps)
     (seg1, c1, k1), (seg2, c2, k2), (seg3, c3, k3) = (
         _side(frame, a, b, x, R, gamma, eps) for a, b in ((0, 1), (1, 2), (2, 0))
@@ -212,8 +228,8 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     L1, L2 = frame.L1[:, None], frame.L2[:, None]
     c = _row_dot(frame.vhat[:, None], frame.what)
     denom = c * c - 1.0
-    x0v = _row_dot(x[0], frame.vhat)
-    x0w = _row_dot(x[0], frame.what)
+    x0v = _dot(x[0], _columns(frame.vhat))
+    x0w = _dot(x[0], _columns(frame.what))
     cv = (x0v - c * x0w) / L1
     cw = (x0w - c * x0v) / L2
 
@@ -273,66 +289,82 @@ def t_table(xf, frame: TriangleFrame, eps: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the velocity formula as 3x3 blocks acting on the vertex forces
+# the velocity formula in rank-3 form: per corner k, u = M_k f_k with
+# M_k = c_k I + x0 p_k^T + v q_k^T + w r_k^T
+
+# T keys of the seven coefficients (t1, tE, tXv, tXw, tVv, tVw, tWw) that the
+# bases f0, fa = f1 - f0 and fb = f2 - f1 of the linear density carry in
+#   t1 I + tE (eps^2 I + x0 x0^T) + L1 tXv (x0 v^T + v x0^T)
+#   + L2 tXw (x0 w^T + w x0^T) + L1^2 tVv v v^T
+#   + L1 L2 tVw (v w^T + w v^T) + L2^2 tWw w w^T
+_BASIS_KEYS = (
+    ((0, 0, 1), (0, 0, 3), (1, 0, 3), (0, 1, 3), (2, 0, 3), (1, 1, 3), (0, 2, 3)),
+    ((1, 0, 1), (1, 0, 3), (2, 0, 3), (1, 1, 3), (3, 0, 3), (2, 1, 3), (1, 2, 3)),
+    ((0, 1, 1), (0, 1, 3), (1, 1, 3), (0, 2, 3), (2, 1, 3), (1, 2, 3), (0, 3, 3)),
+)
+# the symmetric coefficient matrix [[a, b, d], [b, e, g], [d, g, h]] of
+# (x0, v, w), stored as (a, b, d, e, g, h): p, q and r take these entries
+_PQR_ENTRIES = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
+
+def _corner_terms(xf, frame: TriangleFrame, params: KernelParams):
+    """The three corner blocks of F faces at the M points xf in rank-3 form.
+
+    Returns (c, x0, v, w, pqr) with u = sum over corners k of
+    c[k] f_k + x0 (p_k . f_k) + v (q_k . f_k) + w (r_k . f_k):
+    c has shape (3, F, M), one row per corner; x0 = xf - y0 has shape
+    (3, F, M) and the edge directions v, w have shape (3, F, 1); pqr has
+    shape (3, 3, 3, F, M): corner k, vector p/q/r, xyz. The 1/(8 pi mu)
+    prefactor and the area Jacobian are included.
+
+    The T moments about corner 0 carry a large cancellation at eps << h. The
+    blocks and the contraction of forward evaluation both go through these
+    rounded p, q, r, so assembled and evaluated velocities agree to rounding.
+    """
+    T, x0 = _t_table_arrays(xf, frame, params.eps)
+    t = np.empty((3, 7) + x0.shape[1:], dtype=x0.dtype)  # corner, coefficient
+    for i, (key0, key_a, key_b) in enumerate(zip(*_BASIS_KEYS)):
+        np.subtract(T[key0], T[key_a], out=t[0, i])
+        np.subtract(T[key_a], T[key_b], out=t[1, i])
+        t[2, i] = T[key_b]
+    del T  # keeps the peak memory of a call down
+    scale = frame.BH[:, None] / (8.0 * np.pi * params.mu)
+    L1, L2 = frame.L1[:, None], frame.L2[:, None]
+    c = scale * (t[:, 0] + params.eps**2 * t[:, 1])
+    coef = t[:, 1:]  # corner, (a, b, d, e, g, h), face, point
+    coef *= np.stack([scale, scale * L1, scale * L2,
+                      scale * L1**2, scale * (L1 * L2), scale * L2**2])
+    v, w = _columns(frame.vhat), _columns(frame.what)
+    pqr = np.empty((3, 3) + x0.shape, dtype=x0.dtype)
+    for row, (i0, i1, i2) in enumerate(_PQR_ENTRIES):
+        out = pqr[:, row]
+        np.multiply(coef[:, i0, None], x0, out=out)
+        out += coef[:, i1, None] * v
+        out += coef[:, i2, None] * w
+    return c, x0, v, w, pqr
 
 
 def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
-    """Per face and point 3x3 matrices (M0, M1, M2) with u = M0 f0 + M1 f1 + M2 f2.
-
-    xf has shape (M, 3) and frame holds F faces; each output has shape
-    (F, M, 3, 3). The 1/(8 pi mu) prefactor and the area Jacobian are
-    included.
-    """
-    T, x0 = _t_table_arrays(xf, frame, params.eps)  # x0 = xf - y0, (F, M, 3)
-    eps2 = params.eps**2
-    v, w = frame.vhat[:, None, :], frame.what[:, None, :]  # (F, 1, 3)
-    L1, L2 = frame.L1[:, None], frame.L2[:, None]
-    eye = np.eye(3)
-
-    def outer(a, b):
-        return a[..., :, None] * b[..., None, :]
-
-    def sym_outer(a, b):
-        # a b^T + b a^T; b a^T is the transpose of a b^T, product for product
-        ab = outer(a, b)
-        return ab + ab.swapaxes(-1, -2)
-
-    E = eps2 * eye + outer(x0, x0)
-    Xv = sym_outer(x0, v)
-    Xw = sym_outer(x0, w)
-    Vv = outer(v, v)
-    Ww = outer(w, w)
-    Vw = sym_outer(v, w)
-
-    def combo(t1, tE, tXv, tXw, tVv, tVw, tWw):
-        out = t1[..., None, None] * eye
-        out += tE[..., None, None] * E
-        out += (L1 * tXv)[..., None, None] * Xv
-        out += (L2 * tXw)[..., None, None] * Xw
-        out += (L1**2 * tVv)[..., None, None] * Vv
-        out += (L1 * L2 * tVw)[..., None, None] * Vw
-        out += (L2**2 * tWw)[..., None, None] * Ww
-        return out
-
-    A_f0 = combo(T[(0, 0, 1)], T[(0, 0, 3)], T[(1, 0, 3)], T[(0, 1, 3)],
-                 T[(2, 0, 3)], T[(1, 1, 3)], T[(0, 2, 3)])
-    A_fa = combo(T[(1, 0, 1)], T[(1, 0, 3)], T[(2, 0, 3)], T[(1, 1, 3)],
-                 T[(3, 0, 3)], T[(2, 1, 3)], T[(1, 2, 3)])
-    A_fb = combo(T[(0, 1, 1)], T[(0, 1, 3)], T[(1, 1, 3)], T[(0, 2, 3)],
-                 T[(2, 1, 3)], T[(1, 2, 3)], T[(0, 3, 3)])
-    scale = frame.BH[:, None, None, None] / (8.0 * np.pi * params.mu)
-    M0 = scale * (A_f0 - A_fa)
-    M1 = scale * (A_fa - A_fb)
-    M2 = scale * A_fb
-    return M0, M1, M2
+    """Per corner, face and point the 3x3 matrix M_k with u = M_0 f_0 +
+    M_1 f_1 + M_2 f_2, shape (3, 3, 3, F, M): corner, velocity component,
+    force component, face, point."""
+    c, x0, v, w, pqr = _corner_terms(xf, frame, params)
+    blocks = np.empty_like(pqr)
+    for i in range(3):
+        row = blocks[:, i]  # velocity component i: corner, j, face, point
+        np.multiply(x0[i], pqr[:, 0], out=row)
+        row += v[i] * pqr[:, 1]
+        row += w[i] * pqr[:, 2]
+        row[:, i] += c
+    return blocks
 
 
 def triangle_velocity(xf, frame: TriangleFrame, f0, f1, f2, params: KernelParams):
     """Velocity at xf induced by the linear force density (f0, f1, f2) on
     a one-face frame."""
-    M0, M1, M2 = _velocity_blocks(np.asarray(xf, dtype=float)[None, :], frame, params)
+    M = _velocity_blocks(np.asarray(xf, dtype=float)[None, :], frame, params)[..., 0, 0]
     return (
-        M0[0, 0] @ np.asarray(f0, dtype=float)
-        + M1[0, 0] @ np.asarray(f1, dtype=float)
-        + M2[0, 0] @ np.asarray(f2, dtype=float)
+        M[0] @ np.asarray(f0, dtype=float)
+        + M[1] @ np.asarray(f1, dtype=float)
+        + M[2] @ np.asarray(f2, dtype=float)
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .geometry import TriMesh
-from .kernel import KernelParams, _velocity_blocks, point_stokeslet
+from .kernel import KernelParams, _corner_terms, _velocity_blocks, point_stokeslet
 
 __all__ = [
     "evaluate_velocity",
@@ -42,10 +42,10 @@ __all__ = [
 
 
 # Face-point pairs per kernel call. Chunks amortize the per-call overhead
-# over several faces; a bound this small keeps the (faces, points, 3, 3)
-# temporaries small: on an f=4 sphere solve, 2048-pair chunks raise the
-# peak memory by about 1.6 MB over one face per call, 8192-pair chunks by
-# about 10 MB.
+# over several faces; a bound this small keeps the (3, 3, 3, faces, points)
+# blocks and their temporaries small: on an f=4 sphere solve, 2048-pair
+# chunks raise the peak of traced memory by about 0.1 MB over one face per
+# call, 8192-pair chunks by about 4.5 MB.
 _CHUNK_PAIRS = 2048
 
 
@@ -76,12 +76,21 @@ def _evaluate(mesh: TriMesh, corner_forces, points, params: KernelParams):
     shape (F, 3, 3): face, corner, xyz."""
     params.validate_for_mesh(mesh)
     pts = _as_points(points)
-    u = np.zeros_like(pts)
+    u = np.zeros((3, len(pts)))
     for chunk in _face_chunks(mesh.num_faces, len(pts)):
-        blocks = _velocity_blocks(pts, mesh.frames.select(chunk), params)
-        for k, Mk in enumerate(blocks):
-            u += np.einsum("fmij,fj->mi", Mk, corner_forces[chunk, k])
-    return u
+        c, x0, v, w, pqr = _corner_terms(pts, mesh.frames.select(chunk), params)
+        g = corner_forces[chunk].transpose(1, 2, 0)[..., None]  # corner, xyz, F, 1
+        # p.g, q.g and r.g of each corner, then summed over the corners
+        pqr_g = pqr[:, :, 0] * g[:, None, 0]
+        pqr_g += pqr[:, :, 1] * g[:, None, 1]
+        pqr_g += pqr[:, :, 2] * g[:, None, 2]
+        pqr_g = pqr_g[0] + pqr_g[1] + pqr_g[2]
+        u_faces = c[0] * g[0] + c[1] * g[1] + c[2] * g[2]
+        u_faces += x0 * pqr_g[0]
+        u_faces += v * pqr_g[1]
+        u_faces += w * pqr_g[2]
+        u += u_faces.sum(axis=1)
+    return np.ascontiguousarray(u.T)
 
 
 def _assemble(mesh: TriMesh, points, corner_unknowns, num_unknowns: int,
@@ -91,15 +100,18 @@ def _assemble(mesh: TriMesh, points, corner_unknowns, num_unknowns: int,
     force at each face corner."""
     params.validate_for_mesh(mesh)
     m = len(points)
-    A = np.zeros((m, 3, num_unknowns, 3))
+    # unknown, force component, velocity component, point: each block adds
+    # along contiguous runs of points
+    acc = np.zeros((num_unknowns, 3, 3, m))
     for chunk in _face_chunks(mesh.num_faces, m):
         blocks = _velocity_blocks(points, mesh.frames.select(chunk), params)
+        by_face = blocks.transpose(3, 0, 2, 1, 4)  # face, corner, j, i, point
         # one face at a time: a chunk may repeat an unknown, and a
         # fancy-indexed += would keep only one of the repeated contributions
         for p, unknowns in enumerate(corner_unknowns[chunk]):
-            for j, Mk in zip(unknowns, blocks):
-                A[:, :, j, :] += Mk[p]
-    return A.reshape(3 * m, 3 * num_unknowns)
+            for j, Mk in zip(unknowns, by_face[p]):
+                acc[j] += Mk
+    return acc.transpose(3, 2, 0, 1).reshape(3 * m, 3 * num_unknowns)
 
 
 def _own_face(mesh: TriMesh) -> np.ndarray:

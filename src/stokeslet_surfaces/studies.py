@@ -21,6 +21,7 @@ import numpy as np
 
 from . import reference as ref
 from . import solver
+from .errors import MeshFormatError
 from .geometry import (
     TriMesh,
     make_box_mesh,
@@ -169,9 +170,16 @@ def _rigid_sphere(mesh, kind, a, mu):
 
 
 def _squirmer_slip(mesh, B1):
-    """Squirmer slip of amplitude B1 at the vertices, shape (N, 3)."""
+    """Squirmer slip of amplitude B1 at the vertices, shape (N, 3).
+
+    The polar angle is undefined at the origin, so a mesh with a vertex
+    there is rejected with MeshFormatError.
+    """
     x, y, z = mesh.vertices.T
     r = np.linalg.norm(mesh.vertices, axis=1)
+    if np.any(r == 0.0):
+        raise MeshFormatError("squirmer slip is undefined at a mesh vertex on "
+                              "the origin (the swimmer's center)")
     theta = np.arccos(np.clip(z / r, -1.0, 1.0))
     phi = np.arctan2(y, x)
     return ref.squirmer_slip(theta, phi, B1)

@@ -108,12 +108,25 @@ def test_degenerate_mesh_file_is_mesh_error(tmp_path, capsys):
     assert "collinear" in capsys.readouterr().err
 
 
-def test_rotation_problems_on_a_mesh_with_a_vertex_at_the_origin(tmp_path, capsys):
-    # the rotation traction is finite there; the reference field velocity,
-    # which divides by |x|, is not used and must not warn
+def _tetrahedron_at_origin(tmp_path):
     mesh_path = tmp_path / "tetra.mesh"
     write_mesh(TriMesh([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
                        [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]), mesh_path)
+    return mesh_path
+
+
+def test_rotation_problems_on_a_mesh_with_a_vertex_at_the_origin(tmp_path, capsys):
+    # the rotation traction is finite there; the reference field velocity,
+    # which divides by |x|, is not used and must not warn
+    mesh_path = _tetrahedron_at_origin(tmp_path)
     assert main(["eval", "--traction", "rotate", "--mesh-file", str(mesh_path),
                  "--point", "3,0,0"]) == EXIT_OK
     assert main(["solve", "--problem", "torque", "--mesh-file", str(mesh_path)]) == EXIT_OK
+
+
+def test_squirmer_on_a_mesh_with_a_vertex_at_the_origin_is_rejected(tmp_path, capsys):
+    # the squirmer's polar angle is undefined at its center
+    mesh_path = _tetrahedron_at_origin(tmp_path)
+    assert main(["solve", "--problem", "squirmer", "--mesh-file",
+                 str(mesh_path)]) == EXIT_IO
+    assert "origin" in capsys.readouterr().err

@@ -45,10 +45,10 @@ def test_point_stokeslet_structure():
 def _side_segment(frame, a, b, xf, eps):
     """Segment integrals S[m, q] of the side from corner a to corner b of a
     one-face frame at one field point, as floats."""
-    xb = np.asarray(xf, dtype=float)[None, :]
-    x = [xb - y[:, None] for y in (frame.y0, frame.y1, frame.y2)]
-    R = [np.sqrt(np.sum(xj * xj, axis=-1) + eps * eps) for xj in x]
-    z = np.sum(x[0] * frame.nhat[:, None], axis=-1)
+    xb = np.asarray(xf, dtype=float)[:, None, None]
+    x = [xb - y.T[:, :, None] for y in (frame.y0, frame.y1, frame.y2)]  # (3, 1, 1)
+    R = [np.sqrt(np.sum(xj * xj, axis=0) + eps * eps) for xj in x]
+    z = np.sum(x[0] * frame.nhat.T[:, :, None], axis=0)
     S, c003, c001 = _side(frame, a, b, x, R, np.sqrt(z * z + eps * eps), eps)
     assert all(v.shape == (1, 1) for v in (*S.values(), c003, c001))
     return {k: float(v[0, 0]) for k, v in S.items()}

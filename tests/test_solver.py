@@ -23,6 +23,7 @@ from stokeslet_surfaces import (
     squirmer_slip,
     triangle_frame,
     triangle_velocity,
+    TriangleFrame,
     TriMesh,
 )
 from stokeslet_surfaces.solver import _face_chunks, _velocity_blocks, _vertex_moments
@@ -79,10 +80,25 @@ def test_chunked_assembly_matches_one_face_blocks():
         blocks = _velocity_blocks(mesh.vertices, mesh.frames.select(slice(p, p + 1)),
                                   params)
         for vertex, Mk in zip(face, blocks):
-            stacked[:, :, vertex, :] += Mk[0]
+            stacked[:, :, vertex, :] += Mk[:, :, 0].transpose(2, 0, 1)
     stacked = stacked.reshape(3 * n, 3 * n)
     A = assemble_resistance(mesh, params)
     assert np.abs(A - stacked).max() <= 1e-13 * np.abs(stacked).max()
+
+
+def _rotation(rng):
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def _jittered_sphere(f, rng):
+    """A rotated icosphere with its vertices jittered by up to 0.1 h, and h."""
+    sphere = make_icosphere(f)
+    h = mesh_stats(sphere).h
+    jitter = 0.1 * h * rng.uniform(-1, 1, sphere.vertices.shape)
+    return TriMesh((sphere.vertices + jitter) @ _rotation(rng).T, sphere.faces), h
 
 
 @pytest.mark.parametrize("elements", ["linear", "constant"])
@@ -91,14 +107,8 @@ def test_chunked_assembly_matches_one_face_blocks():
        log_eps=st.floats(-4.0, -1.0))
 def test_assembled_matrix_matches_evaluation_on_random_meshes(elements, f, seed,
                                                               log_eps):
-    # rotated icosphere with vertices jittered by up to 0.1 h
     rng = np.random.default_rng(seed)
-    sphere = make_icosphere(f)
-    jitter = 0.1 * mesh_stats(sphere).h * rng.uniform(-1, 1, sphere.vertices.shape)
-    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    mesh = TriMesh((sphere.vertices + jitter) @ Q.T, sphere.faces)
+    mesh, _ = _jittered_sphere(f, rng)
     params = KernelParams(eps=10.0**log_eps)
     if elements == "linear":
         forces = rng.normal(size=(mesh.num_vertices, 3))
@@ -111,6 +121,77 @@ def test_assembled_matrix_matches_evaluation_on_random_meshes(elements, f, seed,
     via_matrix = (A @ forces.reshape(-1)).reshape(-1, 3)
     np.testing.assert_allclose(via_matrix, direct, rtol=1e-12,
                                atol=1e-12 * np.abs(direct).max())
+
+
+def _longdouble_frames(mesh):
+    """The mesh's face frames computed in np.longdouble, as triangle_frame
+    computes them in float64."""
+    corners = mesh.vertices.astype(np.longdouble)[mesh.faces]
+    y0, y1, y2 = corners[:, 0], corners[:, 1], corners[:, 2]
+    e1, e2 = y0 - y1, y1 - y2
+    L1 = np.sqrt(np.sum(e1 * e1, axis=1))
+    L2 = np.sqrt(np.sum(e2 * e2, axis=1))
+    cross = np.cross(y1 - y0, y2 - y0)
+    BH = np.sqrt(np.sum(cross * cross, axis=1))
+    return TriangleFrame(y0, y1, y2, e1 / L1[:, None], e2 / L2[:, None], L1, L2,
+                         BH, cross / BH[:, None])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+@settings(max_examples=30, deadline=None)
+@given(f=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       log_eps=st.floats(-4.0, -1.0))
+def test_float64_velocities_match_extended_precision_kernel(f, seed, log_eps):
+    # The same kernel run on np.longdouble frames and points (64-bit
+    # mantissa) is the reference for float64 assembly and evaluation. The
+    # T moments about corner 0 cancel terms of relative size h/eps, so
+    # float64 rounding reaches about (h/eps) ulps of max|u|: at most 5.6
+    # (1 + h/eps) ulps over 100 such meshes, for both A.f and the direct
+    # evaluation. The bound 32 (1 + h/eps) ulps leaves a fivefold margin.
+    rng = np.random.default_rng(seed)
+    mesh, h = _jittered_sphere(f, rng)
+    params = KernelParams(eps=10.0**log_eps)
+    forces = rng.normal(size=(mesh.num_vertices, 3))
+    blocks = _velocity_blocks(mesh.vertices.astype(np.longdouble),
+                              _longdouble_frames(mesh), params)
+    assert blocks.dtype == np.longdouble
+    exact = np.einsum("kijfm,fkj->mi", blocks,
+                      forces.astype(np.longdouble)[mesh.faces])
+    bound = 32.0 * (1.0 + h / params.eps) * np.finfo(float).eps
+    bound *= float(np.abs(exact).max())
+    via_matrix = assemble_resistance(mesh, params) @ forces.reshape(-1)
+    direct = evaluate_velocity(mesh, forces, mesh.vertices, params)
+    assert float(np.abs(via_matrix.reshape(-1, 3) - exact).max()) <= bound
+    assert float(np.abs(direct - exact).max()) <= bound
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       log_eps=st.floats(-2.0, -1.0))
+def test_rigid_motion_equivariance_on_random_meshes(f, seed, log_eps):
+    # Rotating by Q and translating by t maps the matrix to
+    # (I x Q) A (I x Q)^T and the field to Q u. This catches component
+    # mix-ups that A.f-vs-evaluation and the symmetric blocks cannot show,
+    # such as permuted components of an edge direction. At eps >= 1e-2 the
+    # rounding stays below 3e-13 max|.| over 100 draws; at eps ~ 1e-4 the
+    # collocated A rounds at ~h/eps ulps, above this tolerance.
+    rng = np.random.default_rng(seed)
+    mesh, _ = _jittered_sphere(f, rng)
+    Q, t = _rotation(rng), rng.normal(size=3)
+    moved = mesh.transformed(rotation=Q, translation=t)
+    params = KernelParams(eps=10.0**log_eps)
+    A = assemble_resistance(mesh, params)
+    block_Q = np.kron(np.eye(mesh.num_vertices), Q)
+    np.testing.assert_allclose(assemble_resistance(moved, params),
+                               block_Q @ A @ block_Q.T,
+                               rtol=0, atol=1e-11 * np.abs(A).max())
+    forces = rng.normal(size=(mesh.num_vertices, 3))
+    dirs = rng.normal(size=(16, 3))
+    pts = dirs / np.linalg.norm(dirs, axis=1)[:, None] * rng.uniform(1.2, 3.0, (16, 1))
+    u = evaluate_velocity(mesh, forces, pts, params)
+    u_moved = evaluate_velocity(moved, forces @ Q.T, pts @ Q.T + t, params)
+    np.testing.assert_allclose(u_moved, u @ Q.T, rtol=0, atol=1e-11 * np.abs(u).max())
 
 
 def test_evaluation_at_no_points(small_sphere):

@@ -8,9 +8,9 @@ class StokesletSurfacesError(Exception):
 class FloatingFloorError(StokesletSurfacesError):
     """Regularization length is too small for the triangle side lengths.
 
-    The closed-form segment integrals involve log/arctanh expressions whose
-    arguments degenerate once eps**2 drops below the floating-point spacing
-    at the largest triangle side length.
+    The closed-form segment integrals involve logarithms whose arguments
+    degenerate once eps**2 drops below the floating-point spacing at the
+    largest triangle side length.
     """
 
 

@@ -1,9 +1,9 @@
 """Triangle meshes and their per-triangle geometric frames.
 
 Meshes are indexed triangle surfaces. A mesh caches one struct-of-arrays
-frame of its faces with the quantities the analytic kernel needs: the two
-edge directions vhat (y0 - y1) and what (y1 - y2), the edge lengths L1, L2,
-twice the triangle area BH, and the unit normal nhat.
+frame of its faces with the quantities the analytic kernel needs: each
+side's length, unit direction and in-plane outward normal, twice the
+triangle area BH, and the unit normal nhat.
 
 Closed surfaces (sphere, spheroid, box) are oriented counter-clockwise seen
 from outside, so nhat points into the surrounding fluid. Pipe walls are the
@@ -39,19 +39,25 @@ __all__ = [
 class TriangleFrame:
     """Geometry of F flat triangles (y0, y1, y2), one row per triangle.
 
-    y0, y1, y2, vhat, what and nhat have shape (F, 3); L1, L2 and BH have
-    shape (F,).
+    Side s runs from corner a = s to corner b = s + 1 (mod 3). y0, y1, y2
+    and nhat have shape (F, 3), side_L (F, 3) and side_e, side_n
+    (F, 3, 3): face, side, xyz. BH has shape (F,).
     """
 
     y0: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
-    vhat: np.ndarray  # unit vectors along y0 - y1
-    what: np.ndarray  # unit vectors along y1 - y2
-    L1: np.ndarray
-    L2: np.ndarray
+    side_L: np.ndarray  # side lengths |y_a - y_b|
+    side_e: np.ndarray  # unit vectors along y_a - y_b
+    side_n: np.ndarray  # in-plane unit normals pointing out of the triangle
     BH: np.ndarray  # twice the triangle areas
     nhat: np.ndarray  # unit normals, right-handed for (y0, y1, y2)
+
+    # the edge directions and lengths of sides 0 and 1, shapes (F, 3), (F,)
+    vhat = property(lambda self: self.side_e[:, 0])  # along y0 - y1
+    what = property(lambda self: self.side_e[:, 1])  # along y1 - y2
+    L1 = property(lambda self: self.side_L[:, 0])
+    L2 = property(lambda self: self.side_L[:, 1])
 
     def select(self, index) -> "TriangleFrame":
         """The frames of the triangles picked by a slice, mask or index array."""
@@ -70,27 +76,28 @@ def _row_dot(a, b):
 def triangle_frame(y0, y1, y2) -> TriangleFrame:
     """Frames of triangles with corners of shape (F, 3), or (3,) for one.
 
-    One triangle gives the one-face frame (F = 1). Degenerate geometry in
-    any triangle is rejected.
+    One triangle gives the one-face frame (F = 1). The frame keeps a
+    floating input dtype wider than float64 (np.longdouble); anything else
+    becomes float64. Degenerate geometry in any triangle is rejected.
     """
-    y0 = np.atleast_2d(np.asarray(y0, dtype=float))
-    y1 = np.atleast_2d(np.asarray(y1, dtype=float))
-    y2 = np.atleast_2d(np.asarray(y2, dtype=float))
-    e1 = y0 - y1
-    e2 = y1 - y2
-    L1 = np.sqrt(_row_dot(e1[:, None], e1)[:, 0])
-    L2 = np.sqrt(_row_dot(e2[:, None], e2)[:, 0])
-    if np.any(L1 == 0.0) or np.any(L2 == 0.0):
+    corners = [np.atleast_2d(np.asarray(y)) for y in (y0, y1, y2)]
+    dtype = np.result_type(*corners, np.float64)
+    y0, y1, y2 = corners = [y.astype(dtype, copy=False) for y in corners]
+    d = [corners[s] - corners[(s + 1) % 3] for s in range(3)]  # y_a - y_b
+    side_L = np.stack([np.sqrt(_row_dot(ds[:, None], ds)[:, 0]) for ds in d], axis=1)
+    if np.any(side_L == 0.0):
         raise DegenerateTriangleError("triangle has a zero-length side")
-    vhat = e1 / L1[:, None]
-    what = e2 / L2[:, None]
+    side_e = np.stack(d, axis=1) / side_L[:, :, None]
     cross = np.cross(y1 - y0, y2 - y0)
     BH = np.sqrt(_row_dot(cross[:, None], cross)[:, 0])
-    c = _row_dot(vhat[:, None], what)[:, 0]
-    if np.any((c * c >= 1.0 - 1e-12) | (BH < 1e-14 * L1 * L2)):
+    c = _row_dot(side_e[:, 0, None], side_e[:, 1])[:, 0]
+    if np.any((c * c >= 1.0 - 1e-12) | (BH < 1e-14 * side_L[:, 0] * side_L[:, 1])):
         raise DegenerateTriangleError("triangle vertices are (near-)collinear")
     nhat = cross / BH[:, None]
-    return TriangleFrame(y0, y1, y2, vhat, what, L1, L2, BH, nhat)
+    # nhat x e = (y_b - y_a) x nhat / L, which points out of the triangle
+    # because nhat is right-handed for (y0, y1, y2)
+    side_n = np.cross(nhat[:, None], side_e)
+    return TriangleFrame(y0, y1, y2, side_L, side_e, side_n, BH, nhat)
 
 
 @dataclass(frozen=True)
@@ -157,17 +164,6 @@ class TriMesh:
 
     def vertex_centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
-
-    def max_side_length(self) -> float:
-        v = self.vertices[self.faces]
-        sides = np.stack(
-            [
-                np.linalg.norm(v[:, 0] - v[:, 1], axis=1),
-                np.linalg.norm(v[:, 1] - v[:, 2], axis=1),
-                np.linalg.norm(v[:, 2] - v[:, 0], axis=1),
-            ]
-        )
-        return float(sides.max())
 
     def transformed(self, rotation=None, translation=None) -> "TriMesh":
         """Rigidly rotate and/or translate the mesh."""

@@ -6,12 +6,17 @@ a flat triangle reduces to a 13-term sum of moment integrals
     T[m, n, q] = integral over {0 <= beta <= alpha <= 1} of
                  alpha**m * beta**n / R**q,   R**2 = |xf - y(alpha, beta)|**2 + eps**2
 
-with q in {1, 3} and m + n <= q. The two scalar base cases T[0,0,1] and
-T[0,0,3] come from contour integrals around the triangle; every other entry
-follows from index recursions driven by closed-form line-segment integrals
-along the three sides. Each call forms the corner offsets xf - y_j and
-distances once and visits each side once (`_side`), which yields the side's
-segment integrals and its terms of both contour sums.
+with q in {1, 3} and m + n <= q. T[0,0,3] = Omega / (gamma BH), where Omega
+is the solid angle that the triangle subtends from the field point lifted
+to the height gamma = sqrt(z**2 + eps**2) above its plane; it takes the
+one-arctan2 form of van Oosterom and Strackee (IEEE Trans. Biomed. Eng.
+BME-30 (1983) 125-126). T[0,0,1] comes from a contour integral around the
+triangle, and every other entry follows from index recursions driven by
+closed-form line-segment integrals along the three sides (R. Cortez,
+J. Comput. Phys. 375 (2018) 783-796). Each call forms the corner offsets
+xf - y_j and distances once and visits each side once (`_side`), which
+yields the side's segment integrals and its term of the T[0,0,1] contour
+sum. The side lengths, directions and outward normals come with the frame.
 
 All functions here are pure and broadcast over a chunk of F faces (one
 struct-of-arrays TriangleFrame) times a batch of M field points. Scalars
@@ -20,7 +25,8 @@ have shape (F, M); vectors are component-major, (3, F, M), and blocks
 Each corner block is formed in rank-3 form from one set of vectors p, q, r
 (`_corner_terms`), which both the blocks and the force contraction of
 forward evaluation use. `t_table` and `triangle_velocity` evaluate one face
-at one point through the same path that assembly uses.
+at one point through the same path that assembly uses, after the same
+floor check.
 """
 
 from __future__ import annotations
@@ -41,9 +47,6 @@ __all__ = [
     "epsilon_floor",
 ]
 
-_ATANH_LIMIT = 1.0 - 4.0 * np.spacing(1.0)
-_SIDE_SKIP_REL = 1e-14
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -59,20 +62,29 @@ class KernelParams:
             raise ValueError("mu must be positive and finite")
 
     def validate_for_mesh(self, mesh: TriMesh) -> None:
-        floor = epsilon_floor(mesh)
-        if self.eps <= floor:
-            raise FloatingFloorError(
-                f"eps = {self.eps:g} is at or below the floating-point floor "
-                f"{floor:g} for this mesh (requires eps**2 > ulp spacing of "
-                "the largest triangle side length)"
-            )
+        _check_floor(self.eps, epsilon_floor(mesh))
+
+
+def _frame_floor(frame: TriangleFrame) -> float:
+    """Smallest admissible eps for a frame: sqrt of the ulp spacing at its
+    longest side."""
+    return float(np.sqrt(np.spacing(frame.side_L.max())))
+
+
+def _check_floor(eps: float, floor: float) -> None:
+    if eps <= floor:
+        raise FloatingFloorError(
+            f"eps = {eps:g} is at or below the floating-point floor "
+            f"{floor:g} for this geometry (requires eps**2 > ulp spacing of "
+            "the largest triangle side length)"
+        )
 
 
 def epsilon_floor(mesh: TriMesh) -> float:
     """Smallest admissible eps: sqrt of the ulp spacing at the longest side."""
     if mesh.num_faces == 0:
         raise ValueError("empty mesh")
-    return float(np.sqrt(np.spacing(mesh.max_side_length())))
+    return _frame_floor(mesh.frames)
 
 
 def point_stokeslet(x, y, params: KernelParams) -> np.ndarray:
@@ -96,17 +108,7 @@ def point_stokeslet(x, y, params: KernelParams) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # one pass per side: segment integrals S[m, q] = int_0^1 theta**m * R**(-q)
-# dtheta, q = -1, 1, and the side's terms of the T[0,0,3]/T[0,0,1] contours
-
-
-def _guarded_atanh(u):
-    """arctanh with the near-unity clamp that signals a regularization floor."""
-    mag = np.abs(u)
-    if np.any(mag - _ATANH_LIMIT > 1e-9):
-        raise FloatingFloorError(
-            "arctanh argument degenerated; eps is below the admissible floor"
-        )
-    return np.arctanh(np.clip(u, -_ATANH_LIMIT, _ATANH_LIMIT))
+# dtheta, q = -1, 1, and the side's term of the T[0,0,1] contour
 
 
 def _dot(a, b):
@@ -120,69 +122,38 @@ def _columns(rows):
     return rows.T[:, :, None]
 
 
-def _side(frame: TriangleFrame, a: int, b: int, x, R, gamma, eps):
-    """Everything the T table needs from the side running from corner a to b.
+def _side(frame: TriangleFrame, s: int, x, R, eps):
+    """Everything the T table needs from side s of the frame, which runs
+    from corner a = s to corner b = s + 1 (mod 3).
 
     x[j] = xf - y_j, shape (3, F, M), and R[j] = sqrt(|x[j]|**2 + eps**2),
-    shape (F, M), for the corners j = 0, 1, 2 of the frame; gamma is
-    sqrt(z**2 + eps**2), z the height of xf above the face plane.
+    shape (F, M), for the corners j = 0, 1, 2 of the frame.
 
-    Returns (S, c003, c001), each value of shape (F, M): S maps (m, q) to
-    the segment integral S[m, q] along a -> b; c003 and c001 are the side's
-    terms of the contour sums that give BH * T[0,0,3] and the boundary part
-    of BH * T[0,0,1]. A side whose line passes through the in-plane
-    projection of xf contributes no contour terms.
+    Returns (S, c001), each value of shape (F, M): S maps (m, q) to the
+    segment integral S[m, q] along a -> b, and c001 is the side's term of
+    the contour sum that gives the boundary part of BH * T[0,0,1].
     """
-    corners = (frame.y0, frame.y1, frame.y2)
-    ya, yb, yc = corners[a], corners[b], corners[3 - a - b]
+    a, b = s, (s + 1) % 3
     x0, R0, R1 = x[a], R[a], R[b]
-    L = np.sqrt(_row_dot((ya - yb)[:, None], ya - yb))  # (F, 1)
-    if np.any(L == 0.0):
-        raise ValueError("zero-length segment")
-    # unit direction from the theta = 1 endpoint (b) back to theta = 0 (a),
-    # and the in-plane unit normal pointing out of the face
-    e = (ya - yb) / L
-    n_side = np.cross(e, frame.nhat)
-    inward = _row_dot((yc - ya)[:, None], n_side) > 0
-    n_side = np.where(inward, -n_side, n_side)
-
-    u0 = _dot(x0, _columns(e))
+    L = frame.side_L[:, s, None]  # (F, 1)
+    # e runs from the theta = 1 endpoint (b) back to theta = 0 (a)
+    u0 = _dot(x0, _columns(frame.side_e[:, s]))
     u1 = u0 + L
     P = u0 / L
     # squared distance from the segment line plus eps^2; >= eps^2 > 0
     c2 = np.maximum(R0 * R0 - u0 * u0, eps * eps)
-    # stable log argument u + R = c2 / (R - u) when u < 0
-    la0 = np.where(u0 < 0.0, c2 / (R0 - u0), u0 + R0)
-    la1 = np.where(u1 < 0.0, c2 / (R1 - u1), u1 + R1)
-    s0m1 = ((u1 * R1 + c2 * np.log(la1)) - (u0 * R0 + c2 * np.log(la0))) / (2.0 * L)
-    s0p1 = (_guarded_atanh(u1 / R1) - _guarded_atanh(u0 / R0)) / L
+    # log(u + R), the antiderivative of 1/R in u, with the stable argument
+    # u + R = c2 / (R - u) when u < 0; R + |u| >= eps never cancels
+    Ru0, Ru1 = R0 + np.abs(u0), R1 + np.abs(u1)
+    log0 = np.log(np.where(u0 < 0.0, c2 / Ru0, Ru0))
+    log1 = np.log(np.where(u1 < 0.0, c2 / Ru1, Ru1))
+    s0m1 = ((u1 * R1 + c2 * log1) - (u0 * R0 + c2 * log0)) / (2.0 * L)
+    s0p1 = (log1 - log0) / L
     s1p1 = (R1 - R0) / L**2 - P * s0p1
     s2p1 = R1 / L**2 - s0m1 / L**2 - P * s1p1
     S = {(0, -1): s0m1, (0, 1): s0p1, (1, 1): s1p1, (2, 1): s2p1}
-
-    xn = _dot(x0, _columns(n_side))
-    xnL2 = (xn / L) ** 2
-    gL = gamma / L
-    Qsq = xnL2 + gL * gL
-    Q = np.sqrt(Qsq)
-    # 1 - gamma/(L*Q) computed through the stable difference of squares
-    one_m_g = xnL2 / (Qsq + Q * gL)
-    one_p_g = 1.0 + gL / Q
-    s = np.sqrt(one_m_g / one_p_g)
-    r1 = np.tan(0.5 * np.arctan(np.abs(P) / Q))
-    r2 = np.tan(0.5 * np.arctan(np.abs(1.0 + P) / Q))
-
-    def atan_term(r):
-        # arctan(r*s)/s, continuous through s -> 0
-        return np.where(s > 1e-150, np.arctan(r * s) / np.where(s > 0, s, 1.0), r)
-
-    sgn1 = np.where(P >= 0.0, -1.0, 1.0)
-    sgn2 = np.where(P <= -1.0, -1.0, 1.0)
-    integral = (2.0 / (Q * one_p_g)) * (sgn2 * atan_term(r2) + sgn1 * atan_term(r1))
-    skip = np.abs(xn) < _SIDE_SKIP_REL * L
-    c003 = np.where(skip, 0.0, -(xn / (gamma * L)) * integral)
-    c001 = np.where(skip, 0.0, -xn * L * s0p1)
-    return S, c003, c001
+    c001 = _dot(x0, _columns(frame.side_n[:, s])) * (log0 - log1)  # -xn L s0p1
+    return S, c001
 
 
 def _boundary_ab(m, n, q, e1, e2, d):
@@ -212,17 +183,28 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     """All 13 T integrals for F faces and the M field points xf, shape (M, 3),
     values (F, M), and the offsets xf - y0, shape (3, F, M)."""
     corners = np.stack([_columns(y) for y in (frame.y0, frame.y1, frame.y2)])
-    x = xf.T[None, :, None, :] - corners  # corner, xyz, face, point
+    # corner, xyz, face, point; the points are copied component-major
+    # first: at M = 6000 the broadcast subtraction from the strided xf.T
+    # takes about five times as long as the copy and subtraction together
+    x = np.ascontiguousarray(xf.T)[None, :, None, :] - corners
     sq = x * x
-    R = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + eps * eps)
+    eps2 = eps * eps
+    R = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + eps2)
     z0 = _dot(x[0], _columns(frame.nhat))
-    gamma = np.sqrt(z0 * z0 + eps * eps)
-    (seg1, c1, k1), (seg2, c2, k2), (seg3, c3, k3) = (
-        _side(frame, a, b, x, R, gamma, eps) for a, b in ((0, 1), (1, 2), (2, 0))
+    gamma = np.sqrt(z0 * z0 + eps2)
+    (seg1, k1), (seg2, k2), (seg3, k3) = (
+        _side(frame, s, x, R, eps) for s in range(3)
     )  # sides e1, e2 and d
 
+    # seen from the point lifted to height gamma, the corners are
+    # a_j = x_j + (gamma - z0) nhat, with |a_j| = R_j, a_i . a_j =
+    # x_i . x_j + eps^2 and |a_0 . (a_1 x a_2)| = gamma BH, so that
+    # tan(Omega / 2) = gamma BH / den
     BH = frame.BH[:, None]
-    T003 = (c1 + c2 + c3) / BH
+    gBH = gamma * BH
+    den = (R[0] * R[1] * R[2] + (_dot(x[0], x[1]) + eps2) * R[2]
+           + (_dot(x[0], x[2]) + eps2) * R[1] + (_dot(x[1], x[2]) + eps2) * R[0])
+    T003 = 2.0 * np.arctan2(gBH, den) / gBH
     T001 = (k1 + k2 + k3 - gamma * gamma * BH * T003) / BH
 
     L1, L2 = frame.L1[:, None], frame.L2[:, None]
@@ -282,9 +264,16 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     return T, x[0]
 
 
+def _one_point(xf, frame: TriangleFrame, eps: float):
+    """xf as a (1, 3) batch in the frame's dtype, once eps passes the
+    frame's floor check."""
+    _check_floor(eps, _frame_floor(frame))
+    return np.asarray(xf, dtype=frame.y0.dtype)[None, :]
+
+
 def t_table(xf, frame: TriangleFrame, eps: float) -> dict:
     """All 13 moment integrals of a one-face frame at one field point."""
-    arrays, _ = _t_table_arrays(np.asarray(xf, dtype=float)[None, :], frame, eps)
+    arrays, _ = _t_table_arrays(_one_point(xf, frame, eps), frame, eps)
     return {k: float(v[0, 0]) for k, v in arrays.items()}
 
 
@@ -362,7 +351,7 @@ def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
 def triangle_velocity(xf, frame: TriangleFrame, f0, f1, f2, params: KernelParams):
     """Velocity at xf induced by the linear force density (f0, f1, f2) on
     a one-face frame."""
-    M = _velocity_blocks(np.asarray(xf, dtype=float)[None, :], frame, params)[..., 0, 0]
+    M = _velocity_blocks(_one_point(xf, frame, params.eps), frame, params)[..., 0, 0]
     return (
         M[0] @ np.asarray(f0, dtype=float)
         + M[1] @ np.asarray(f1, dtype=float)

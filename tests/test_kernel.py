@@ -42,15 +42,14 @@ def test_point_stokeslet_structure():
                                rtol=1e-14, atol=0)
 
 
-def _side_segment(frame, a, b, xf, eps):
-    """Segment integrals S[m, q] of the side from corner a to corner b of a
-    one-face frame at one field point, as floats."""
+def _side_segment(frame, s, xf, eps):
+    """Segment integrals S[m, q] of side s (corner s to corner s + 1 mod 3)
+    of a one-face frame at one field point, as floats."""
     xb = np.asarray(xf, dtype=float)[:, None, None]
     x = [xb - y.T[:, :, None] for y in (frame.y0, frame.y1, frame.y2)]  # (3, 1, 1)
     R = [np.sqrt(np.sum(xj * xj, axis=0) + eps * eps) for xj in x]
-    z = np.sum(x[0] * frame.nhat.T[:, :, None], axis=0)
-    S, c003, c001 = _side(frame, a, b, x, R, np.sqrt(z * z + eps * eps), eps)
-    assert all(v.shape == (1, 1) for v in (*S.values(), c003, c001))
+    S, c001 = _side(frame, s, x, R, eps)
+    assert all(v.shape == (1, 1) for v in (*S.values(), c001))
     return {k: float(v[0, 0]) for k, v in S.items()}
 
 
@@ -62,7 +61,7 @@ def _segment(xf, a, b, eps):
     if np.linalg.norm(off) < 0.1 * np.linalg.norm(b - a):
         off = np.cross(b - a, [0.0, 1.0, 0.0])
     frame = triangle_frame(a, b, 0.5 * (a + b) + off)
-    return _side_segment(frame, 0, 1, xf, eps)
+    return _side_segment(frame, 0, xf, eps)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -92,7 +91,7 @@ def test_segment_recurse_matches_quadrature(seed):
 
 
 def test_segment_base_near_collinear_field_point():
-    # field point close to the segment's carrier line: stable log/arctanh path
+    # field point close to the segment's carrier line: stable log path
     a = np.array([0.0, 0.0, 0.0])
     b = np.array([1.0, 0.0, 0.0])
     xf = np.array([1.7, 1e-9, 0.0])
@@ -110,8 +109,8 @@ def test_segment_base_near_collinear_field_point():
 
 def _side_bases(frame, xf, eps):
     """Segment integrals of the sides y0->y1 (e1), y1->y2 (e2) and y2->y0 (d)."""
-    return {name: _side_segment(frame, a, b, xf, eps)
-            for name, (a, b) in zip(("e1", "e2", "d"), ((0, 1), (1, 2), (2, 0)))}
+    return {name: _side_segment(frame, s, xf, eps)
+            for s, name in enumerate(("e1", "e2", "d"))}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -340,7 +339,9 @@ def test_net_force_and_torque_match_quadrature():
 def test_epsilon_floor_and_params_validation():
     mesh = make_icosphere(2)
     floor = epsilon_floor(mesh)
-    assert floor == pytest.approx(np.sqrt(np.spacing(mesh.max_side_length())))
+    corners = mesh.vertices[mesh.faces]
+    longest = np.linalg.norm(corners - np.roll(corners, -1, axis=1), axis=2).max()
+    assert floor == pytest.approx(np.sqrt(np.spacing(longest)))
     KernelParams(eps=2 * floor).validate_for_mesh(mesh)  # fine
     with pytest.raises(FloatingFloorError):
         KernelParams(eps=0.5 * floor).validate_for_mesh(mesh)
@@ -348,3 +349,57 @@ def test_epsilon_floor_and_params_validation():
         KernelParams(eps=0.0)
     with pytest.raises(ValueError):
         KernelParams(eps=1e-4, mu=-1.0)
+
+
+def test_one_face_entry_points_check_the_floor():
+    # t_table and triangle_velocity apply epsilon_floor's rule to their
+    # frame up front, as assembly and evaluation do for a mesh (criterion 8)
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.9, 0.0]])
+    frame = triangle_frame(*verts)
+    floor = epsilon_floor(TriMesh(verts, [[0, 1, 2]]))
+    forces = np.ones((3, 3))
+    # in-plane points inside, on a side and at a corner, and one off the plane
+    for xf in ([0.41, 0.33, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.1, 0.3]):
+        with pytest.raises(FloatingFloorError):
+            t_table(xf, frame, 0.5 * floor)
+        with pytest.raises(FloatingFloorError):
+            triangle_velocity(xf, frame, *forces, KernelParams(eps=0.5 * floor))
+        table = t_table(xf, frame, 4.0 * floor)
+        assert all(np.isfinite(v) for v in table.values())
+        u = triangle_velocity(xf, frame, *forces, KernelParams(eps=4.0 * floor))
+        assert np.all(np.isfinite(u))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+def test_in_plane_t003_matches_extended_precision():
+    # Field points in the plane of the triangle (z = 0), where T[0,0,3]
+    # grows like 1/eps: inside, outside, on a side's line and at a corner.
+    # The same code on np.longdouble frames and points is the reference.
+    rng = np.random.default_rng(13)
+    for case in range(240):
+        y = rng.normal(size=(3, 3))
+        a, b = rng.uniform(-0.5, 1.5, size=2)
+        if case % 4 == 1:
+            b = 0.0  # on the line of side y0 -> y1
+        xf = y[0] + a * (y[1] - y[0]) + b * (y[2] - y[0])
+        if case % 4 == 2:
+            xf = y[case % 3].copy()
+        eps = 10.0 ** rng.uniform(-7.0, -3.0)
+        got = _t003(xf, triangle_frame(*y), eps)
+        wide = triangle_frame(*y.astype(np.longdouble))
+        assert wide.side_n.dtype == np.longdouble
+        ref = _t003(xf.astype(np.longdouble), wide, eps)
+        assert got == pytest.approx(ref, rel=1e-9), (case, eps)
+
+
+def test_t_table_far_along_a_side_line():
+    # far along a side's line R - u rounds to zero once eps**2 is below the
+    # spacing of u**2; the log arguments never divide by it. The contour
+    # form of T[0,0,3] that the solid angle replaced was 1e-3 off here.
+    frame = triangle_frame([0.0, 0, 0], [1.0, 0, 0], [0.3, 0.9, 0])
+    xf = np.array([-100.0, 0.0, 0.0])
+    table = t_table(xf, frame, 1e-7)
+    for key in ((0, 0, 1), (0, 0, 3), (1, 0, 1)):
+        assert table[key] == pytest.approx(
+            oracles.t_integral_quadrature(xf, frame, 1e-7, *key), rel=1e-9), key

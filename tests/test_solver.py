@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,6 @@ from stokeslet_surfaces import (
     squirmer_slip,
     triangle_frame,
     triangle_velocity,
-    TriangleFrame,
     TriMesh,
 )
 from stokeslet_surfaces.solver import _face_chunks, _velocity_blocks, _vertex_moments
@@ -124,17 +125,12 @@ def test_assembled_matrix_matches_evaluation_on_random_meshes(elements, f, seed,
 
 
 def _longdouble_frames(mesh):
-    """The mesh's face frames computed in np.longdouble, as triangle_frame
-    computes them in float64."""
+    """The mesh's face frames, built by triangle_frame in np.longdouble."""
     corners = mesh.vertices.astype(np.longdouble)[mesh.faces]
-    y0, y1, y2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    e1, e2 = y0 - y1, y1 - y2
-    L1 = np.sqrt(np.sum(e1 * e1, axis=1))
-    L2 = np.sqrt(np.sum(e2 * e2, axis=1))
-    cross = np.cross(y1 - y0, y2 - y0)
-    BH = np.sqrt(np.sum(cross * cross, axis=1))
-    return TriangleFrame(y0, y1, y2, e1 / L1[:, None], e2 / L2[:, None], L1, L2,
-                         BH, cross / BH[:, None])
+    frames = triangle_frame(corners[:, 0], corners[:, 1], corners[:, 2])
+    assert all(getattr(frames, f.name).dtype == np.longdouble
+               for f in dataclasses.fields(frames))
+    return frames
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -332,10 +328,12 @@ def test_malformed_force_arrays_rejected(entry, shape):
 
 
 def test_solve_resistance_rejects_malformed_matrix():
+    # solve_swimmer takes its matrix through the same check
     mesh = make_icosphere(1)
     velocities = np.ones((mesh.num_vertices, 3))
-    with pytest.raises(ValueError, match="matrix must have shape"):
-        solve_resistance(mesh, velocities, KernelParams(eps=1e-2), matrix=np.eye(5))
+    for solve in (solve_resistance, solve_swimmer):
+        with pytest.raises(ValueError, match="matrix must have shape"):
+            solve(mesh, velocities, KernelParams(eps=1e-2), matrix=np.eye(5))
 
 
 def test_swimmer_quiescent(small_sphere):
@@ -370,6 +368,16 @@ def test_swimmer_squirmer(small_sphere):
     assert np.linalg.norm(net_force(small_sphere, sol.forces)) < 1e-10
     assert np.linalg.norm(net_torque(small_sphere, sol.forces,
                                      center=np.zeros(3))) < 1e-10
+
+
+def test_swimmer_reuses_a_passed_matrix(small_sphere):
+    params = KernelParams(eps=1e-3)
+    slip = _squirmer_slip_field(small_sphere)
+    A = assemble_resistance(small_sphere, params)
+    fresh = solve_swimmer(small_sphere, slip, params, center=np.zeros(3))
+    reused = solve_swimmer(small_sphere, slip, params, center=np.zeros(3), matrix=A)
+    for name in ("forces", "U", "Omega"):
+        np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
 
 
 def test_swimmer_mirror_symmetry(small_sphere):

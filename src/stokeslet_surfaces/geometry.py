@@ -53,12 +53,6 @@ class TriangleFrame:
     BH: np.ndarray  # twice the triangle areas
     nhat: np.ndarray  # unit normals, right-handed for (y0, y1, y2)
 
-    # the edge directions and lengths of sides 0 and 1, shapes (F, 3), (F,)
-    vhat = property(lambda self: self.side_e[:, 0])  # along y0 - y1
-    what = property(lambda self: self.side_e[:, 1])  # along y1 - y2
-    L1 = property(lambda self: self.side_L[:, 0])
-    L2 = property(lambda self: self.side_L[:, 1])
-
     def select(self, index) -> "TriangleFrame":
         """The frames of the triangles picked by a slice, mask or index array."""
         return TriangleFrame(*(getattr(self, f.name)[index] for f in fields(self)))

@@ -207,11 +207,12 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     T003 = 2.0 * np.arctan2(gBH, den) / gBH
     T001 = (k1 + k2 + k3 - gamma * gamma * BH * T003) / BH
 
-    L1, L2 = frame.L1[:, None], frame.L2[:, None]
-    c = _row_dot(frame.vhat[:, None], frame.what)
+    L1, L2 = frame.side_L[:, 0, None], frame.side_L[:, 1, None]
+    vhat, what = frame.side_e[:, 0], frame.side_e[:, 1]  # along y0 - y1, y1 - y2
+    c = _row_dot(vhat[:, None], what)
     denom = c * c - 1.0
-    x0v = _dot(x[0], _columns(frame.vhat))
-    x0w = _dot(x[0], _columns(frame.what))
+    x0v = _dot(x[0], _columns(vhat))
+    x0w = _dot(x[0], _columns(what))
     cv = (x0v - c * x0w) / L1
     cw = (x0w - c * x0v) / L2
 
@@ -318,12 +319,12 @@ def _corner_terms(xf, frame: TriangleFrame, params: KernelParams):
         t[2, i] = T[key_b]
     del T  # keeps the peak memory of a call down
     scale = frame.BH[:, None] / (8.0 * np.pi * params.mu)
-    L1, L2 = frame.L1[:, None], frame.L2[:, None]
+    L1, L2 = frame.side_L[:, 0, None], frame.side_L[:, 1, None]
     c = scale * (t[:, 0] + params.eps**2 * t[:, 1])
     coef = t[:, 1:]  # corner, (a, b, d, e, g, h), face, point
     coef *= np.stack([scale, scale * L1, scale * L2,
                       scale * L1**2, scale * (L1 * L2), scale * L2**2])
-    v, w = _columns(frame.vhat), _columns(frame.what)
+    v, w = _columns(frame.side_e[:, 0]), _columns(frame.side_e[:, 1])
     pqr = np.empty((3, 3) + x0.shape, dtype=x0.dtype)
     for row, (i0, i1, i2) in enumerate(_PQR_ENTRIES):
         out = pqr[:, row]

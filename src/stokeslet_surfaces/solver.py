@@ -140,18 +140,6 @@ def _dense_solve(A, b):
     return x
 
 
-def _resistance_matrix(mesh: TriMesh, params: KernelParams, matrix) -> np.ndarray:
-    """The passed `matrix`, which must be 3N x 3N, or the assembled one if
-    it is None."""
-    if matrix is None:
-        return assemble_resistance(mesh, params)
-    A = np.asarray(matrix)
-    size = 3 * mesh.num_vertices
-    if A.shape != (size, size):
-        raise ValueError(f"matrix must have shape ({size}, {size}), got {A.shape}")
-    return A
-
-
 def solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
                      matrix=None) -> np.ndarray:
     """Vertex forces reproducing the prescribed vertex velocities.
@@ -160,7 +148,10 @@ def solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
     across multiple right-hand sides.
     """
     velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
-    A = _resistance_matrix(mesh, params, matrix)
+    A = assemble_resistance(mesh, params) if matrix is None else np.asarray(matrix)
+    size = 3 * mesh.num_vertices
+    if A.shape != (size, size):
+        raise ValueError(f"matrix must have shape ({size}, {size}), got {A.shape}")
     f = _dense_solve(A, velocities.reshape(-1))
     return f.reshape(-1, 3)
 
@@ -218,14 +209,13 @@ class SwimmerSolution:
 
 
 def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
-                  center=None, matrix=None) -> SwimmerSolution:
+                  center=None) -> SwimmerSolution:
     """Solve for forces and rigid motion given a prescribed surface slip.
 
     The boundary condition at each vertex is
         u(y_i) = U + Omega x (y_i - c) + slip_i
     augmented by zero net force and zero net torque about the body center c
-    (default: vertex centroid), making the (3N + 6) system square. Pass a
-    precomputed `matrix` (from assemble_resistance) to reuse it.
+    (default: vertex centroid), making the (3N + 6) system square.
     """
     n = mesh.num_vertices
     slip = _as_rows(slip, n, "slip")
@@ -233,7 +223,7 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
 
     size = 3 * n + 6
     A = np.zeros((size, size))
-    A[: 3 * n, : 3 * n] = _resistance_matrix(mesh, params, matrix)
+    A[: 3 * n, : 3 * n] = assemble_resistance(mesh, params)
     A[: 3 * n, 3 * n : 3 * n + 3] = np.tile(-np.eye(3), (n, 1))
     A[: 3 * n, 3 * n + 3 :] = _skew(mesh.vertices - c).reshape(3 * n, 3)
     weights, blocks = _vertex_moments(mesh, c)

@@ -369,9 +369,9 @@ def _triangle_quadrature_points(frame):
     gu, wu = _gauss_rule_4()
     alpha = np.repeat(gu, 4)[None, :, None]  # u, outer loop of the 16 nodes
     beta = (gu[:, None] * gu[None, :]).reshape(1, 16, 1)  # u v
-    L1, L2 = frame.L1[:, None, None], frame.L2[:, None, None]
-    pts = (frame.y0[:, None] - alpha * L1 * frame.vhat[:, None]
-           - beta * L2 * frame.what[:, None])
+    L1, L2 = frame.side_L[:, 0, None, None], frame.side_L[:, 1, None, None]
+    vhat, what = frame.side_e[:, None, 0], frame.side_e[:, None, 1]
+    pts = frame.y0[:, None] - alpha * L1 * vhat - beta * L2 * what
     wts = (wu[:, None] * wu[None, :] * gu[:, None]).reshape(1, 16) * frame.BH[:, None]
     return pts.reshape(-1, 3), wts.reshape(-1)
 

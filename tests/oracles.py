@@ -10,8 +10,8 @@ from scipy.integrate import dblquad, quad
 
 def triangle_param_point(frame, alpha, beta):
     """The point y(alpha, beta), shape (3,), of a one-face frame."""
-    y = frame.y0 - alpha * frame.L1 * frame.vhat - beta * frame.L2 * frame.what
-    return y[0]
+    L, e = frame.side_L[0], frame.side_e[0]
+    return frame.y0[0] - alpha * L[0] * e[0] - beta * L[1] * e[1]
 
 
 def t_integral_quadrature(xf, frame, eps, m, n, q, epsrel=1e-11):

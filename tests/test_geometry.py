@@ -62,8 +62,9 @@ def test_triangle_frame_mapping():
     v = rng.normal(size=(3, 3))
     fr = triangle_frame(*v)
     # parameter corners land on the vertices
-    assert np.allclose(fr.y0 - 1 * fr.L1 * fr.vhat - 0 * fr.L2 * fr.what, v[1])
-    assert np.allclose(fr.y0 - 1 * fr.L1 * fr.vhat - 1 * fr.L2 * fr.what, v[2])
+    (L1, L2, _), (vhat, what, _) = fr.side_L[0], fr.side_e[0]
+    assert np.allclose(fr.y0[0] - 1 * L1 * vhat - 0 * L2 * what, v[1])
+    assert np.allclose(fr.y0[0] - 1 * L1 * vhat - 1 * L2 * what, v[2])
     # BH is twice the area
     area = 0.5 * np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]))
     assert fr.BH.shape == (1,)

@@ -254,8 +254,8 @@ def _p_expansion_velocity(xf, frame, f0, f1, f2, params):
     T = t_table(xf, frame, eps)
     x0 = np.asarray(xf, dtype=float) - frame.y0[0]
     fa, fb = f1 - f0, f2 - f1
-    v, w = frame.vhat[0], frame.what[0]
-    L1, L2 = frame.L1[0], frame.L2[0]
+    v, w = frame.side_e[0, 0], frame.side_e[0, 1]
+    L1, L2 = frame.side_L[0, 0], frame.side_L[0, 1]
     e2 = eps * eps
     P00 = e2 * f0 + (f0 @ x0) * x0
     P10 = e2 * fa + (L1 * (f0 @ v) + fa @ x0) * x0 + L1 * (f0 @ x0) * v

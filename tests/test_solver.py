@@ -328,12 +328,10 @@ def test_malformed_force_arrays_rejected(entry, shape):
 
 
 def test_solve_resistance_rejects_malformed_matrix():
-    # solve_swimmer takes its matrix through the same check
     mesh = make_icosphere(1)
     velocities = np.ones((mesh.num_vertices, 3))
-    for solve in (solve_resistance, solve_swimmer):
-        with pytest.raises(ValueError, match="matrix must have shape"):
-            solve(mesh, velocities, KernelParams(eps=1e-2), matrix=np.eye(5))
+    with pytest.raises(ValueError, match="matrix must have shape"):
+        solve_resistance(mesh, velocities, KernelParams(eps=1e-2), matrix=np.eye(5))
 
 
 def test_swimmer_quiescent(small_sphere):
@@ -368,16 +366,6 @@ def test_swimmer_squirmer(small_sphere):
     assert np.linalg.norm(net_force(small_sphere, sol.forces)) < 1e-10
     assert np.linalg.norm(net_torque(small_sphere, sol.forces,
                                      center=np.zeros(3))) < 1e-10
-
-
-def test_swimmer_reuses_a_passed_matrix(small_sphere):
-    params = KernelParams(eps=1e-3)
-    slip = _squirmer_slip_field(small_sphere)
-    A = assemble_resistance(small_sphere, params)
-    fresh = solve_swimmer(small_sphere, slip, params, center=np.zeros(3))
-    reused = solve_swimmer(small_sphere, slip, params, center=np.zeros(3), matrix=A)
-    for name in ("forces", "U", "Omega"):
-        np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
 
 
 def test_swimmer_mirror_symmetry(small_sphere):

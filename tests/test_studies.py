@@ -12,6 +12,8 @@ from stokeslet_surfaces import (
 from stokeslet_surfaces.studies import CSV_HEADER, _triangle_quadrature_points
 from stokeslet_surfaces import triangle_frame
 
+from oracles import triangle_param_point
+
 
 def test_fit_loglog_slope_clean_power_law():
     h = np.array([0.4, 0.2, 0.1, 0.05])
@@ -79,7 +81,7 @@ def test_triangle_quadrature_rule_exactness():
 
     ref, _ = dblquad(
         lambda b, a: (lambda y: y[0] ** 2 * y[1])(
-            (frame.y0 - a * frame.L1 * frame.vhat - b * frame.L2 * frame.what)[0]
+            triangle_param_point(frame, a, b)
         ) * frame.BH[0],
         0, 1, 0, lambda a: a, epsabs=1e-14, epsrel=1e-12,
     )

@@ -14,9 +14,10 @@ BME-30 (1983) 125-126). T[0,0,1] comes from a contour integral around the
 triangle, and every other entry follows from index recursions driven by
 closed-form line-segment integrals along the three sides (R. Cortez,
 J. Comput. Phys. 375 (2018) 783-796). Each call forms the corner offsets
-xf - y_j and distances once and visits each side once (`_side`), which
-yields the side's segment integrals and its term of the T[0,0,1] contour
-sum. The side lengths, directions and outward normals come with the frame.
+xf - y_j and distances once and takes all three sides in one pass over a
+stacked side axis (`_sides`), which yields each side's segment integrals
+and its term of the T[0,0,1] contour sum. The side lengths, directions and
+outward normals come with the frame.
 
 All functions here are pure and broadcast over a chunk of F faces (one
 struct-of-arrays TriangleFrame) times a batch of M field points. Scalars
@@ -107,8 +108,9 @@ def point_stokeslet(x, y, params: KernelParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one pass per side: segment integrals S[m, q] = int_0^1 theta**m * R**(-q)
-# dtheta, q = -1, 1, and the side's term of the T[0,0,1] contour
+# one pass over the three sides, stacked on a leading side axis: segment
+# integrals S[m, q] = int_0^1 theta**m * R**(-q) dtheta, q = -1, 1, and each
+# side's term of the T[0,0,1] contour
 
 
 def _dot(a, b):
@@ -122,22 +124,23 @@ def _columns(rows):
     return rows.T[:, :, None]
 
 
-def _side(frame: TriangleFrame, s: int, x, R, eps):
-    """Everything the T table needs from side s of the frame, which runs
-    from corner a = s to corner b = s + 1 (mod 3).
+def _sides(frame: TriangleFrame, x, R, eps):
+    """Everything the T table needs from the three sides of the frame; side
+    s runs from corner a = s to corner b = s + 1 (mod 3).
 
-    x[j] = xf - y_j, shape (3, F, M), and R[j] = sqrt(|x[j]|**2 + eps**2),
-    shape (F, M), for the corners j = 0, 1, 2 of the frame.
+    x[j] = xf - y_j, shape (3, 3, F, M): corner, xyz, face, point, and
+    R[j] = sqrt(|x[j]|**2 + eps**2), shape (3, F, M).
 
-    Returns (S, c001), each value of shape (F, M): S maps (m, q) to the
-    segment integral S[m, q] along a -> b, and c001 is the side's term of
-    the contour sum that gives the boundary part of BH * T[0,0,1].
+    Returns (S, c001), each value of shape (3, F, M) with side s first: S
+    maps (m, q) to the segment integral S[m, q] along a -> b, and c001 is
+    the side's term of the contour sum that gives the boundary part of
+    BH * T[0,0,1].
     """
-    a, b = s, (s + 1) % 3
-    x0, R0, R1 = x[a], R[a], R[b]
-    L = frame.side_L[:, s, None]  # (F, 1)
+    R0, R1 = R, R[[1, 2, 0]]
+    L = frame.side_L.T[:, :, None]  # side, face, 1
+    xs = x.swapaxes(0, 1)  # xyz, side (= corner a), face, point
     # e runs from the theta = 1 endpoint (b) back to theta = 0 (a)
-    u0 = _dot(x0, _columns(frame.side_e[:, s]))
+    u0 = _dot(xs, frame.side_e.T[..., None])
     u1 = u0 + L
     P = u0 / L
     # squared distance from the segment line plus eps^2; >= eps^2 > 0
@@ -147,32 +150,22 @@ def _side(frame: TriangleFrame, s: int, x, R, eps):
     Ru0, Ru1 = R0 + np.abs(u0), R1 + np.abs(u1)
     log0 = np.log(np.where(u0 < 0.0, c2 / Ru0, Ru0))
     log1 = np.log(np.where(u1 < 0.0, c2 / Ru1, Ru1))
+    del Ru0, Ru1
+    Lsq = L**2
     s0m1 = ((u1 * R1 + c2 * log1) - (u0 * R0 + c2 * log0)) / (2.0 * L)
     s0p1 = (log1 - log0) / L
-    s1p1 = (R1 - R0) / L**2 - P * s0p1
-    s2p1 = R1 / L**2 - s0m1 / L**2 - P * s1p1
+    s1p1 = (R1 - R0) / Lsq - P * s0p1
+    s2p1 = R1 / Lsq - s0m1 / Lsq - P * s1p1
     S = {(0, -1): s0m1, (0, 1): s0p1, (1, 1): s1p1, (2, 1): s2p1}
-    c001 = _dot(x0, _columns(frame.side_n[:, s])) * (log0 - log1)  # -xn L s0p1
+    c001 = _dot(xs, frame.side_n.T[..., None]) * (log0 - log1)  # -xn L s0p1
     return S, c001
 
 
-def _boundary_ab(m, n, q, e1, e2, d):
-    """Contour integrals (A, B) from per-side segment tables (array-friendly).
-
-    e1, e2, d map (m, q) keys to values for the sides y0->y1, y1->y2 and
-    y2->y0 respectively.
-    """
-    alt = sum(
-        math.comb(m + n, k) * (-1) ** k * d[(k, q)] for k in range(m + n + 1)
-    )
-    A = e2[(n, q)] - alt
-    if n == 0:
-        B = -e1[(m, q)] + sum(
-            math.comb(m, k) * (-1) ** k * d[(k, q)] for k in range(m + 1)
-        )
-    else:
-        B = alt
-    return A, B
+def _reversed(d0, d1, d2):
+    """Segment integrals S[j, q], j = 0, 1, 2, of a side run backwards, from
+    its S[k, q] forwards: theta -> 1 - theta gives the alternating binomial
+    sums sum_k C(j, k) (-1)**k S[k, q]."""
+    return d0, d0 - d1, d0 - 2 * d1 + d2
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +183,10 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     sq = x * x
     eps2 = eps * eps
     R = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + eps2)
+    del sq
     z0 = _dot(x[0], _columns(frame.nhat))
     gamma = np.sqrt(z0 * z0 + eps2)
-    (seg1, k1), (seg2, k2), (seg3, k3) = (
-        _side(frame, s, x, R, eps) for s in range(3)
-    )  # sides e1, e2 and d
+    seg, c001 = _sides(frame, x, R, eps)
 
     # seen from the point lifted to height gamma, the corners are
     # a_j = x_j + (gamma - z0) nhat, with |a_j| = R_j, a_i . a_j =
@@ -205,9 +197,10 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     den = (R[0] * R[1] * R[2] + (_dot(x[0], x[1]) + eps2) * R[2]
            + (_dot(x[0], x[2]) + eps2) * R[1] + (_dot(x[1], x[2]) + eps2) * R[0])
     T003 = 2.0 * np.arctan2(gBH, den) / gBH
-    T001 = (k1 + k2 + k3 - gamma * gamma * BH * T003) / BH
+    T001 = (c001[0] + c001[1] + c001[2] - gamma * gamma * BH * T003) / BH
 
     L1, L2 = frame.side_L[:, 0, None], frame.side_L[:, 1, None]
+    L11, L22, L12 = L1**2, L2**2, L1 * L2
     vhat, what = frame.side_e[:, 0], frame.side_e[:, 1]  # along y0 - y1, y1 - y2
     c = _row_dot(vhat[:, None], what)
     denom = c * c - 1.0
@@ -216,52 +209,43 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     cv = (x0v - c * x0w) / L1
     cw = (x0w - c * x0v) / L2
 
+    # contour integrals A and B from the sides e1 (y0 -> y1), e2 (y1 -> y2)
+    # and d (y2 -> y0), with d' the side d run backwards: A[m, n] =
+    # e2[n] - d'[m + n], B[m, 0] = d'[m] - e1[m], B[m, n] = d'[m + n]
+    e1, e2, d = ([seg[(k, 1)][s] for k in range(3)] for s in range(3))
+    d_rev = _reversed(*d)
+
+    def ab(m, n):
+        return (e2[n] - d_rev[m + n],
+                d_rev[m] - e1[m] if n == 0 else d_rev[m + n])
+
     # first-index / second-index steps at q = 1 (boundary data at q = -1)
-    A, B = _boundary_ab(0, 0, -1, seg1, seg2, seg3)
-    T101 = (-A / L1**2 + c * B / (L1 * L2) + cv * T001) / denom
-    T011 = (-B / L2**2 + c * A / (L1 * L2) + cw * T001) / denom
+    s0m1 = seg[(0, -1)]
+    A, B = s0m1[1] - s0m1[2], s0m1[2] - s0m1[0]
+    T101 = (-A / L11 + c * B / L12 + cv * T001) / denom
+    T011 = (-B / L22 + c * A / L12 + cw * T001) / denom
 
-    def step_m(A, B, m, n, Tm1n, Tmn1, Tmn3):
-        # raises the first index at q = 3 (boundary data at q = 1)
-        return (
-            A / L1**2
-            - c * B / (L1 * L2)
-            - m * Tm1n / L1**2
-            + c * n * Tmn1 / (L1 * L2)
-            + cv * Tmn3
-        ) / denom
+    # the same steps at q = 3 (boundary data at q = 1): T[m + 1, n, 3], or
+    # T[m, n + 1, 3] if second, from T[m, n, 3], T[m - 1, n, 1] and
+    # T[m, n - 1, 1]; a term with the factor m or n is left out where it is 0
+    def step(m, n, second):
+        A, B = ab(m, n)
+        Tm1n, Tmn1, Tmn3 = T.get((m - 1, n, 1)), T.get((m, n - 1, 1)), T[m, n, 3]
+        if second:  # the first-index step with the two indices swapped
+            A, B, m, n, Tm1n, Tmn1 = B, A, n, m, Tmn1, Tm1n
+        Lsq, cx = (L22, cw) if second else (L11, cv)
+        t = A / Lsq - c * B / L12
+        if m:
+            t -= (Tm1n if m == 1 else m * Tm1n) / Lsq
+        if n:
+            t += c * n * Tmn1 / L12
+        t += cx * Tmn3
+        return t / denom
 
-    def step_n(A, B, m, n, Tm1n, Tmn1, Tmn3):
-        # raises the second index at q = 3 (boundary data at q = 1)
-        return (
-            B / L2**2
-            - c * A / (L1 * L2)
-            - n * Tmn1 / L2**2
-            + c * m * Tm1n / (L1 * L2)
-            + cw * Tmn3
-        ) / denom
-
-    ab = {
-        (m, n): _boundary_ab(m, n, 1, seg1, seg2, seg3)
-        for (m, n) in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    }
-    T103 = step_m(*ab[(0, 0)], 0, 0, 0.0, 0.0, T003)
-    T013 = step_n(*ab[(0, 0)], 0, 0, 0.0, 0.0, T003)
-    T203 = step_m(*ab[(1, 0)], 1, 0, T001, 0.0, T103)
-    T113 = step_n(*ab[(1, 0)], 1, 0, T001, 0.0, T103)
-    T023 = step_n(*ab[(0, 1)], 0, 1, 0.0, T001, T013)
-    T303 = step_m(*ab[(2, 0)], 2, 0, T101, 0.0, T203)
-    T213 = step_n(*ab[(2, 0)], 2, 0, T101, 0.0, T203)
-    T123 = step_n(*ab[(1, 1)], 1, 1, T011, T101, T113)
-    T033 = step_n(*ab[(0, 2)], 0, 2, 0.0, T011, T023)
-
-    T = {
-        (0, 0, 1): T001, (0, 0, 3): T003,
-        (1, 0, 1): T101, (1, 0, 3): T103,
-        (0, 1, 1): T011, (0, 1, 3): T013,
-        (2, 0, 3): T203, (1, 1, 3): T113, (0, 2, 3): T023,
-        (3, 0, 3): T303, (2, 1, 3): T213, (1, 2, 3): T123, (0, 3, 3): T033,
-    }
+    T = {(0, 0, 1): T001, (0, 0, 3): T003, (1, 0, 1): T101, (0, 1, 1): T011}
+    for m, n, second in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 1),
+                         (2, 0, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1)):
+        T[m + 1 - second, n + second, 3] = step(m, n, second)
     return T, x[0]
 
 

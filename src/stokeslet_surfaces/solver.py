@@ -43,10 +43,9 @@ __all__ = [
 
 # Face-point pairs per kernel call. Chunks amortize the per-call overhead
 # over several faces; a bound this small keeps the (3, 3, 3, faces, points)
-# blocks and their temporaries small: on an f=4 sphere solve, 2048-pair
-# chunks raise the peak of traced memory by about 0.1 MB over one face per
-# call, 8192-pair chunks by about 4.5 MB.
-_CHUNK_PAIRS = 2048
+# blocks and their temporaries small: the peak of traced memory of an f=4
+# sphere solve is 9.1 MB with 4096-pair chunks, 12.4 MB with 8192-pair ones.
+_CHUNK_PAIRS = 4096
 
 
 def _face_chunks(num_faces, num_points):
@@ -100,18 +99,33 @@ def _assemble(mesh: TriMesh, points, corner_unknowns, num_unknowns: int,
     force at each face corner."""
     params.validate_for_mesh(mesh)
     m = len(points)
-    # unknown, force component, velocity component, point: each block adds
-    # along contiguous runs of points
-    acc = np.zeros((num_unknowns, 3, 3, m))
-    for chunk in _face_chunks(mesh.num_faces, m):
-        blocks = _velocity_blocks(points, mesh.frames.select(chunk), params)
-        by_face = blocks.transpose(3, 0, 2, 1, 4)  # face, corner, j, i, point
-        # one face at a time: a chunk may repeat an unknown, and a
-        # fancy-indexed += would keep only one of the repeated contributions
-        for p, unknowns in enumerate(corner_unknowns[chunk]):
-            for j, Mk in zip(unknowns, by_face[p]):
-                acc[j] += Mk
-    return acc.transpose(3, 2, 0, 1).reshape(3 * m, 3 * num_unknowns)
+    # equal slabs of at most _CHUNK_PAIRS // 16 points, so that each kernel
+    # call on a slab still spans 16 faces or more
+    num_slabs = -(-m // max(1, _CHUNK_PAIRS // 16))
+    slab = -(-m // num_slabs)
+    # one slab's accumulator, reused: unknown, force component, velocity
+    # component, point; each block adds along contiguous runs of points
+    acc = np.empty((num_unknowns, 3, 3, slab))
+    A = None
+    for p0 in range(0, m, slab):
+        ms = min(slab, m - p0)
+        part = acc[..., :ms]
+        part.fill(0.0)
+        for chunk in _face_chunks(mesh.num_faces, ms):
+            blocks = _velocity_blocks(points[p0:p0 + ms], mesh.frames.select(chunk),
+                                      params)
+            by_face = blocks.transpose(3, 0, 2, 1, 4)  # face, corner, j, i, point
+            # one face at a time: a chunk may repeat an unknown, and a
+            # fancy-indexed += would keep only one of the repeated contributions
+            for p, unknowns in enumerate(corner_unknowns[chunk]):
+                for j, Mk in zip(unknowns, by_face[p]):
+                    part[j] += Mk
+        if A is None:  # not beside the kernel's temporaries in a one-slab run
+            A = np.empty((3 * m, 3 * num_unknowns))
+        # rows (point, velocity component), columns (unknown, force component)
+        A[3 * p0:3 * (p0 + ms)].reshape(ms, 3, num_unknowns, 3)[...] = (
+            part.transpose(3, 2, 0, 1))
+    return A
 
 
 def _own_face(mesh: TriMesh) -> np.ndarray:

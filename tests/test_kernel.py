@@ -14,7 +14,7 @@ from stokeslet_surfaces import (
     triangle_frame,
     triangle_velocity,
 )
-from stokeslet_surfaces.kernel import _boundary_ab, _side
+from stokeslet_surfaces.kernel import _reversed, _sides
 
 import oracles
 
@@ -46,11 +46,11 @@ def _side_segment(frame, s, xf, eps):
     """Segment integrals S[m, q] of side s (corner s to corner s + 1 mod 3)
     of a one-face frame at one field point, as floats."""
     xb = np.asarray(xf, dtype=float)[:, None, None]
-    x = [xb - y.T[:, :, None] for y in (frame.y0, frame.y1, frame.y2)]  # (3, 1, 1)
-    R = [np.sqrt(np.sum(xj * xj, axis=0) + eps * eps) for xj in x]
-    S, c001 = _side(frame, s, x, R, eps)
-    assert all(v.shape == (1, 1) for v in (*S.values(), c001))
-    return {k: float(v[0, 0]) for k, v in S.items()}
+    x = np.stack([xb - y.T[:, :, None] for y in (frame.y0, frame.y1, frame.y2)])
+    R = np.sqrt(np.sum(x * x, axis=1) + eps * eps)  # (3, 1, 1)
+    S, c001 = _sides(frame, x, R, eps)
+    assert all(v.shape == (3, 1, 1) for v in (*S.values(), c001))
+    return {k: float(v[s, 0, 0]) for k, v in S.items()}
 
 
 def _segment(xf, a, b, eps):
@@ -115,27 +115,19 @@ def _side_bases(frame, xf, eps):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_boundary_ab_matches_direct_combination(seed):
-    # A and B are alternating-binomial combinations of per-side integrals
+    # the contour integrals A and B take the side d = y2 -> y0 run
+    # backwards, whose integrals are alternating-binomial combinations of d's
     rng = np.random.default_rng(200 + seed)
     frame, xf, _, eps = oracles.random_triangle_case(rng)
-    bases = _side_bases(frame, xf, eps)
+    d = _side_bases(frame, xf, eps)["d"]
     import math
 
-    for (m, n) in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-        A, B = _boundary_ab(m, n, 1, bases["e1"], bases["e2"], bases["d"])
-        dsum = sum(
-            math.comb(m + n, k) * (-1) ** k * bases["d"][(k, 1)]
-            for k in range(m + n + 1)
-        )
-        assert A == pytest.approx(bases["e2"][(n, 1)] - dsum, rel=1e-12, abs=1e-14)
-        if n == 0:
-            expected = -bases["e1"][(m, 1)] + sum(
-                math.comb(m, k) * (-1) ** k * bases["d"][(k, 1)]
-                for k in range(m + 1)
-            )
-        else:
-            expected = dsum
-        assert B == pytest.approx(expected, rel=1e-12, abs=1e-14)
+    reversed_d = _reversed(*(d[(k, 1)] for k in range(3)))
+    y0_to_y2 = _segment(xf, frame.y0[0], frame.y2[0], eps)
+    for j in range(3):
+        dsum = sum(math.comb(j, k) * (-1) ** k * d[(k, 1)] for k in range(j + 1))
+        assert reversed_d[j] == pytest.approx(dsum, rel=1e-12, abs=1e-14)
+        assert reversed_d[j] == pytest.approx(y0_to_y2[(j, 1)], rel=1e-9, abs=1e-13)
 
 
 def _t003(xf, frame, eps):

@@ -27,7 +27,8 @@ from stokeslet_surfaces import (
     triangle_velocity,
     TriMesh,
 )
-from stokeslet_surfaces.solver import _face_chunks, _velocity_blocks, _vertex_moments
+from stokeslet_surfaces import solver
+from stokeslet_surfaces.solver import _own_face, _velocity_blocks, _vertex_moments
 
 
 @pytest.fixture(scope="module")
@@ -69,21 +70,45 @@ def test_system_size_f8():
     assert 3 * mesh.num_vertices == 1926  # +6 swimmer unknowns gives 1932
 
 
-def test_chunked_assembly_matches_one_face_blocks():
-    # f=2: 42 points, so chunks of 48 faces that share vertices
-    mesh = make_icosphere(2)
+@pytest.mark.parametrize("elements", ["linear", "constant"])
+@pytest.mark.parametrize("budget", [pytest.param(None, id="default"),
+                                    pytest.param(128, id="small")])
+def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch):
+    # f=3 (92 vertices, 180 faces): chunks of faces that share unknowns; the
+    # small budget also splits the points into slabs of at most 8
+    mesh = make_icosphere(3)
     params = KernelParams(eps=1e-3)
-    first = mesh.faces[_face_chunks(mesh.num_faces, mesh.num_vertices)[0]]
-    assert len(first) == 48 and len(np.unique(first)) < first.size
-    n = mesh.num_vertices
-    stacked = np.zeros((n, 3, n, 3))
-    for p, face in enumerate(mesh.faces):
-        blocks = _velocity_blocks(mesh.vertices, mesh.frames.select(slice(p, p + 1)),
-                                  params)
-        for vertex, Mk in zip(face, blocks):
-            stacked[:, :, vertex, :] += Mk[:, :, 0].transpose(2, 0, 1)
-    stacked = stacked.reshape(3 * n, 3 * n)
-    A = assemble_resistance(mesh, params)
+    if elements == "linear":
+        assemble, points, unknowns = assemble_resistance, mesh.vertices, mesh.faces
+    else:
+        assemble, points, unknowns = (constant_assemble_resistance,
+                                      mesh.face_centroids(), _own_face(mesh))
+    default = assemble(mesh, params)
+    calls = []
+
+    def recorded(xf, frame, kp):
+        calls.append((len(xf), len(frame.BH)))
+        return _velocity_blocks(xf, frame, kp)
+
+    if budget is not None:
+        monkeypatch.setattr(solver, "_CHUNK_PAIRS", budget)
+    monkeypatch.setattr(solver, "_velocity_blocks", recorded)
+    A = assemble(mesh, params)
+    slab, faces = calls[0]
+    assert (slab < len(points)) == (budget is not None)
+    assert faces == min(mesh.num_faces, solver._CHUNK_PAIRS // slab)
+    first = unknowns[:faces]
+    assert len(first) < mesh.num_faces and len(np.unique(first)) < first.size
+    assert sum(m * f for m, f in calls) == len(points) * mesh.num_faces
+    assert np.array_equal(A, default)
+
+    n = unknowns.max() + 1
+    stacked = np.zeros((len(points), 3, n, 3))
+    for p, face_unknowns in enumerate(unknowns):
+        blocks = _velocity_blocks(points, mesh.frames.select(slice(p, p + 1)), params)
+        for j, Mk in zip(face_unknowns, blocks):
+            stacked[:, :, j, :] += Mk[:, :, 0].transpose(2, 0, 1)
+    stacked = stacked.reshape(3 * len(points), 3 * n)
     assert np.abs(A - stacked).max() <= 1e-13 * np.abs(stacked).max()
 
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 regularization below the
 floating-point floor, 4 singular linear system, 5 I/O or mesh-format error
-(including a degenerate triangle, and a squirmer mesh with a vertex at the
-origin).
+(including an empty mesh, a degenerate triangle, and a squirmer mesh with a
+vertex at the origin).
 """
 
 from __future__ import annotations
@@ -38,25 +38,25 @@ EXIT_SINGULAR = 4
 EXIT_IO = 5
 
 
-def _float_list(text):
-    try:
-        return [float(t) for t in text.split(",") if t]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _int_list(text):
-    try:
-        return [int(t) for t in text.split(",") if t]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _list(kind):
+    """argparse type of a non-empty comma-separated list of `kind` values."""
+    def parse(text):
+        values = [kind(t) for t in text.split(",") if t]
+        if not values:
+            raise ValueError("empty list")
+        return values
+    parse.__name__ = f"comma-separated {kind.__name__} list"  # for usage errors
+    return parse
 
 
 def _vec3(text):
-    parts = _float_list(text)
+    parts = _list(float)(text)
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z: {text!r}")
+        raise ValueError("not three coordinates")
     return np.array(parts)
+
+
+_vec3.__name__ = "x,y,z point"  # argparse: "invalid x,y,z point value"
 
 
 def parse_args(argv):
@@ -106,28 +106,24 @@ def parse_args(argv):
     p_solve.add_argument("--out", default=None,
                          help="write per-vertex x,y,z,fx,fy,fz CSV")
 
-    p_study = sub.add_parser("study", help="run a validation study")
+    # each flag's dest is the study parameter it sets; a flag left out sets
+    # nothing, so the study's own default applies
+    p_study = sub.add_parser("study", help="run a validation study",
+                             argument_default=argparse.SUPPRESS)
     p_study.add_argument("--id", required=True, choices=studies.STUDY_IDS)
-    p_study.add_argument("--f", type=_int_list, default=None,
-                         help="comma-separated subdivision frequencies")
-    p_study.add_argument("--eps", type=_float_list, default=None,
-                         help="comma-separated regularizations")
-    p_study.add_argument("--mu", type=float, default=1.0)
-    p_study.add_argument("--a", type=float, default=None)
-    p_study.add_argument("--b", type=float, default=None)
-    p_study.add_argument("--grading", type=_float_list, default=None)
-    p_study.add_argument("--h-cube", type=_float_list, default=None)
-    p_study.add_argument("--eps-over-h", type=_float_list, default=None)
-    p_study.add_argument("--nterms", type=int, default=50)
     p_study.add_argument("--out", default=None, help="write the report CSV")
-
-    config = parser.parse_args(argv)
-    if config.command == "study":
-        if config.eps is not None and len(config.eps) == 0:
-            parser.error("--eps must be non-empty")
-        if config.f is not None and len(config.f) == 0:
-            parser.error("--f must be non-empty")
-    return config
+    p_study.add_argument("--f", dest="f_values", type=_list(int),
+                         help="comma-separated subdivision frequencies")
+    p_study.add_argument("--eps", dest="eps_values", type=_list(float),
+                         help="comma-separated regularizations")
+    p_study.add_argument("--mu", type=float)
+    p_study.add_argument("--a", type=float)
+    p_study.add_argument("--b", type=float)
+    p_study.add_argument("--grading", dest="grading_values", type=_list(float))
+    p_study.add_argument("--h-cube", dest="h_cube_values", type=_list(float))
+    p_study.add_argument("--eps-over-h", type=_list(float))
+    p_study.add_argument("--nterms", type=int)
+    return parser.parse_args(argv)
 
 
 def _build_mesh(config):
@@ -169,7 +165,7 @@ def _run_solve(config):
     mesh = _build_mesh(config)
     params = KernelParams(eps=config.eps, mu=config.mu)
     if config.problem == "squirmer":
-        slip = studies._squirmer_slip(mesh, B1=1.5)
+        slip = studies._squirmer_slip(mesh)
         sol = solver.solve_swimmer(mesh, slip, params, center=np.zeros(3))
         forces = sol.forces
         print(f"squirmer U = ({sol.U[0]:.6g}, {sol.U[1]:.6g}, {sol.U[2]:.6g}) "
@@ -188,22 +184,10 @@ def _run_solve(config):
 
 
 def _run_study(config):
-    params = {"mu": config.mu, "nterms": config.nterms}
-    if config.f is not None:
-        params["f_values"] = config.f
-        params["f"] = config.f[0]
-    if config.eps is not None:
-        params["eps_values"] = config.eps
-    if config.a is not None:
-        params["a"] = config.a
-    if config.b is not None:
-        params["b"] = config.b
-    if config.grading is not None:
-        params["grading_values"] = config.grading
-    if config.h_cube is not None:
-        params["h_cube_values"] = config.h_cube
-    if config.eps_over_h is not None:
-        params["eps_over_h"] = config.eps_over_h
+    params = {key: value for key, value in vars(config).items()
+              if key not in ("command", "id", "out")}
+    if "f_values" in params:  # mrs-comparison runs on one mesh
+        params["f"] = params["f_values"][0]
     report = studies.run_study(config.id, params)
     for line in report.summary_lines():
         print(line)

@@ -103,39 +103,42 @@ class MeshStats:
 
 
 class TriMesh:
-    """Immutable indexed triangle surface with cached face frames."""
+    """Immutable indexed triangle surface with cached face frames.
 
-    def __init__(self, vertices, faces, validate: bool = True):
+    Construction, also by `transformed` and `merged_with`, raises
+    MeshFormatError for a mesh without faces, a non-finite vertex, a face
+    index out of range, a face repeating a vertex, or two vertices within
+    1e-12 of the bounding-box diagonal (merged surfaces sharing a vertex).
+    """
+
+    def __init__(self, vertices, faces):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshFormatError("vertices must be an (N, 3) array")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshFormatError("faces must be an (F, 3) array")
-        if validate:
-            self._validate()
+        self._validate()
         self._frames: TriangleFrame | None = None
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
 
     def _validate(self):
+        f = self.faces
+        if len(f) == 0:
+            raise MeshFormatError("mesh has no faces")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshFormatError("non-finite vertex coordinate")
-        nv = len(self.vertices)
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= nv):
+        if f.min() < 0 or f.max() >= len(self.vertices):
             raise MeshFormatError("face index out of range")
-        f = self.faces
-        if f.size and (
-            np.any(f[:, 0] == f[:, 1])
-            or np.any(f[:, 1] == f[:, 2])
-            or np.any(f[:, 0] == f[:, 2])
-        ):
+        if (np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2])
+                or np.any(f[:, 0] == f[:, 2])):
             raise MeshFormatError("face repeats a vertex")
-        if nv >= 2:
-            span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-            tol = 1e-12 * float(np.linalg.norm(span))
-            if tol > 0 and cKDTree(self.vertices).query_pairs(tol):
-                raise MeshFormatError("duplicate vertices within tolerance")
+        # a face of three distinct in-range vertices leaves N >= 3 here
+        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+        tol = 1e-12 * float(np.linalg.norm(span))
+        if tol > 0 and cKDTree(self.vertices).query_pairs(tol):
+            raise MeshFormatError("duplicate vertices within tolerance")
 
     @property
     def num_vertices(self) -> int:
@@ -166,19 +169,17 @@ class TriMesh:
             v = v @ np.asarray(rotation, dtype=float).T
         if translation is not None:
             v = v + np.asarray(translation, dtype=float)
-        return TriMesh(v, self.faces, validate=False)
+        return TriMesh(v, self.faces)
 
     def merged_with(self, other: "TriMesh") -> "TriMesh":
         """Concatenate two disjoint surfaces into one mesh."""
         verts = np.vstack([self.vertices, other.vertices])
         faces = np.vstack([self.faces, other.faces + self.num_vertices])
-        return TriMesh(verts, faces, validate=False)
+        return TriMesh(verts, faces)
 
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:
     """Face/vertex counts, degrees of freedom, and spacing h = sqrt(mean(BH))."""
-    if mesh.num_faces == 0:
-        raise ValueError("empty mesh")
     return MeshStats(
         num_faces=mesh.num_faces,
         num_vertices=mesh.num_vertices,
@@ -214,12 +215,12 @@ def _icosahedron():
     return verts, faces
 
 
-def _orient_outward(vertices, faces, center):
-    """Flip faces whose normal points toward `center`."""
+def _orient(vertices, faces, direction):
+    """Flip the faces whose normal points against direction(centroids), a
+    function of the (F, 3) face centroids."""
     v = vertices[faces]
     normals = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    centroids = v.mean(axis=1) - center
-    flip = np.einsum("ij,ij->i", normals, centroids) < 0
+    flip = np.einsum("ij,ij->i", normals, direction(v.mean(axis=1))) < 0
     faces = faces.copy()
     faces[flip] = faces[flip][:, [0, 2, 1]]
     return faces
@@ -265,7 +266,8 @@ def make_icosphere(f: int, radius: float = 1.0) -> TriMesh:
                 if j < i:
                     faces.append((grid[i][j], grid[i + 1][j + 1], grid[i][j + 1]))
     vertices = np.array(verts)
-    faces = _orient_outward(vertices, np.array(faces, dtype=np.int64), np.zeros(3))
+    # normals away from the origin, the sphere's center
+    faces = _orient(vertices, np.array(faces, dtype=np.int64), lambda c: c)
     return TriMesh(vertices, faces)
 
 
@@ -299,7 +301,7 @@ def make_spheroid_mesh(f: int, a: float, b: float, grading: float = 0.0) -> TriM
                 a * np.cos(theta),
             ]
         )
-    faces = _orient_outward(verts, sphere.faces, np.zeros(3))
+    faces = _orient(verts, sphere.faces, lambda c: c)
     return TriMesh(verts, faces)
 
 
@@ -354,7 +356,7 @@ def make_box_mesh(center, half_side: float, grid_h: float) -> TriMesh:
              for axis in range(3) for side in (0, n)]
     vertices, faces = _lattice_walls(
         lambda lat: center + np.array(lat) * step - half_side, walls)
-    faces = _orient_outward(vertices, faces, center)
+    faces = _orient(vertices, faces, lambda c: c - center)
     return TriMesh(vertices, faces)
 
 
@@ -374,13 +376,8 @@ def make_pipe_mesh(L: float, a: float, b: float, grid_h: float) -> TriMesh:
              (2, 0, 0, nx, 1, ny, False), (2, nz, 0, nx, 1, ny, True)]
     vertices, faces = _lattice_walls(
         lambda lat: (-L + lat[0] * dx, -a + lat[1] * dy, -b + lat[2] * dz), walls)
-    # orient normals toward the pipe axis (into the fluid)
-    v = vertices[faces]
-    normals = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    centroids = v.mean(axis=1)
-    inward = -centroids * np.array([0.0, 1.0, 1.0])  # toward the centerline
-    flip = np.einsum("ij,ij->i", normals, inward) < 0
-    faces[flip] = faces[flip][:, [0, 2, 1]]
+    # normals toward the centerline, into the fluid
+    faces = _orient(vertices, faces, lambda c: -c * np.array([0.0, 1.0, 1.0]))
     return TriMesh(vertices, faces)
 
 

@@ -83,8 +83,6 @@ def _check_floor(eps: float, floor: float) -> None:
 
 def epsilon_floor(mesh: TriMesh) -> float:
     """Smallest admissible eps: sqrt of the ulp spacing at the longest side."""
-    if mesh.num_faces == 0:
-        raise ValueError("empty mesh")
     return _frame_floor(mesh.frames)
 
 

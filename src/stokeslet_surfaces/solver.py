@@ -55,19 +55,20 @@ def _face_chunks(num_faces, num_points):
     return [slice(start, start + step) for start in range(0, num_faces, step)]
 
 
-def _as_points(points):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must have shape (M, 3)")
-    return pts
-
-
-def _as_rows(values, rows: int, name: str) -> np.ndarray:
-    """values as a float array of shape (rows, 3); anything else is rejected."""
+def _as_rows(values, rows, name: str) -> np.ndarray:
+    """values as a finite float array of shape (rows, 3), where rows=None
+    takes any number of rows; anything else raises ValueError."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (rows, 3):
-        raise ValueError(f"{name} must have shape ({rows}, 3), got {values.shape}")
+    if values.ndim != 2 or values.shape[1] != 3 or rows not in (None, len(values)):
+        expected = "M" if rows is None else rows
+        raise ValueError(f"{name} must have shape ({expected}, 3), got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
     return values
+
+
+def _as_points(points):
+    return _as_rows(np.atleast_2d(points), None, "points")
 
 
 def _evaluate(mesh: TriMesh, corner_forces, points, params: KernelParams):

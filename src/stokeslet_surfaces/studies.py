@@ -6,12 +6,14 @@ whose rows serialize to CSV with the fixed header
 
     experiment,num_faces,dof,h,eps,metric,value
 
-Velocity field samples are exported separately as x,y,z,ux,uy,uz rows.
+A study reads its settings from the `params` dict by name (`f_values`,
+`eps_values`, `mu`, `a`, ...) and holds the only default of each; the CLI
+passes the flags it was given under the same names. Velocity field samples
+are exported separately as x,y,z,ux,uy,uz rows.
 """
 
 from __future__ import annotations
 
-import datetime
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -23,7 +25,6 @@ from . import reference as ref
 from . import solver
 from .errors import MeshFormatError
 from .geometry import (
-    TriMesh,
     make_box_mesh,
     make_icosphere,
     make_pipe_mesh,
@@ -43,14 +44,20 @@ __all__ = [
 
 CSV_HEADER = "experiment,num_faces,dof,h,eps,metric,value"
 
+# Settings no study varies: the squirmer's slip amplitude (swim speed 2 B1/3),
+# the duct's pressure gradient, the half side of the cube in the duct, and the
+# relative change below which fit_loglog_slope treats an error as plateaued.
+B1 = 1.5
+DUCT_DP = 1.0
+CUBE_HALF_SIDE = 0.25
+PLATEAU_TOL = 0.05
+
 
 @dataclass
 class ExperimentReport:
-    """Rows of (num_faces, dof, h, eps, metric, value) plus run metadata."""
+    """Rows of (num_faces, dof, h, eps, metric, value) of one study."""
 
     experiment: str
-    params: dict = field(default_factory=dict)
-    created: str = ""
     rows: list = field(default_factory=list)
 
     def add(self, num_faces, dof, h, eps, metric, value):
@@ -114,11 +121,11 @@ def write_field_csv(path, points, velocities) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def fit_loglog_slope(h_values, errors, plateau_tol=0.05):
+def fit_loglog_slope(h_values, errors):
     """Least-squares slope of log(error) vs log(h), excluding plateaued points.
 
     A point is flagged as plateaued when the error changed by less than
-    plateau_tol relative to the next-coarser grid (saturation by the
+    PLATEAU_TOL relative to the next-coarser grid (saturation by the
     regularization or conditioning floor). Returns (slope, used_mask).
     """
     h_values = np.asarray(h_values, dtype=float)
@@ -126,26 +133,12 @@ def fit_loglog_slope(h_values, errors, plateau_tol=0.05):
     order = np.argsort(h_values)[::-1]  # coarse to fine
     used = np.ones(len(h_values), dtype=bool)
     for prev, cur in zip(order[:-1], order[1:]):
-        if abs(errors[cur] - errors[prev]) < plateau_tol * abs(errors[prev]):
+        if abs(errors[cur] - errors[prev]) < PLATEAU_TOL * abs(errors[prev]):
             used[cur] = False
     if used.sum() < 2:
         used[:] = True
     slope = np.polyfit(np.log(h_values[used]), np.log(errors[used]), 1)[0]
     return float(slope), used
-
-
-def _report(study, params):
-    defaults = dict(params)
-    return ExperimentReport(
-        experiment=study,
-        params=defaults,
-        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
-
-
-def _grid(params, key, default):
-    values = params.get(key, default)
-    return list(values)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def _rigid_sphere(mesh, kind, a, mu):
     return tractions, np.cross(Om, mesh.vertices)
 
 
-def _squirmer_slip(mesh, B1):
+def _squirmer_slip(mesh):
     """Squirmer slip of amplitude B1 at the vertices, shape (N, 3).
 
     The polar angle is undefined at the origin, so a mesh with a vertex
@@ -189,19 +182,29 @@ def _squirmer_slip(mesh, B1):
 # individual studies
 
 
+def _row_key(mesh):
+    """(num_faces, dof, h) of the report rows on `mesh`."""
+    stats = mesh_stats(mesh)
+    return stats.num_faces, stats.dof, stats.h
+
+
+def _spheres(a, f_values):
+    """(f, icosphere of radius a and subdivision f, its row key) for each f."""
+    for f in f_values:
+        mesh = make_icosphere(f, radius=a)
+        yield f, mesh, _row_key(mesh)
+
+
 def _forward_sphere(report, params, kind):
     mu = params.get("mu", 1.0)
     a = params.get("a", 1.0)
-    for f in _grid(params, "f_values", range(2, 9)):
-        mesh = make_icosphere(f, radius=a)
-        stats = mesh_stats(mesh)
+    for _, mesh, key in _spheres(a, params.get("f_values", range(2, 9))):
         tractions, target = _rigid_sphere(mesh, kind, a, mu)
-        for eps in _grid(params, "eps_values", (1e-4,)):
+        for eps in params.get("eps_values", (1e-4,)):
             kp = KernelParams(eps=eps, mu=mu)
             u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
             err = ref.l2_error(np.linalg.norm(u - target, axis=1))
-            report.add(mesh.num_faces, 3 * mesh.num_vertices, stats.h, eps,
-                       "l2_error", err)
+            report.add(*key, eps, "l2_error", err)
     _add_slope(report, "l2_error")
     return report
 
@@ -221,30 +224,26 @@ def _add_slope(report, metric):
 def _resistance_sphere(report, params, kind):
     mu = params.get("mu", 1.0)
     a = params.get("a", 1.0)
-    for f in _grid(params, "f_values", range(2, 7)):
-        mesh = make_icosphere(f, radius=a)
-        stats = mesh_stats(mesh)
+    for _, mesh, key in _spheres(a, params.get("f_values", range(2, 7))):
         _, bc = _rigid_sphere(mesh, kind, a, mu)
-        for eps in _grid(params, "eps_values", (1e-4,)):
+        for eps in params.get("eps_values", (1e-4,)):
             kp = KernelParams(eps=eps, mu=mu)
             matrix = solver.assemble_resistance(mesh, kp)
             forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
             if kind == "translate":
                 drag = -solver.net_force(mesh, forces)
                 target = -6.0 * np.pi * mu * a
-                report.add(mesh.num_faces, 3 * mesh.num_vertices, stats.h, eps,
-                           "drag_x_rel_error", abs(drag[0] - target) / abs(target))
-                report.add(mesh.num_faces, 3 * mesh.num_vertices, stats.h, eps,
-                           "drag_y_abs_error", abs(drag[1]))
-                report.add(mesh.num_faces, 3 * mesh.num_vertices, stats.h, eps,
-                           "drag_z_abs_error", abs(drag[2]))
+                report.add(*key, eps, "drag_x_rel_error",
+                           abs(drag[0] - target) / abs(target))
+                report.add(*key, eps, "drag_y_abs_error", abs(drag[1]))
+                report.add(*key, eps, "drag_z_abs_error", abs(drag[2]))
             else:
                 torque = -solver.net_torque(mesh, forces, center=np.zeros(3))
                 target = -8.0 * np.pi * mu * a**3
-                report.add(mesh.num_faces, 3 * mesh.num_vertices, stats.h, eps,
-                           "torque_z_rel_error", abs(torque[2] - target) / abs(target))
-                report.add(mesh.num_faces, 3 * mesh.num_vertices, stats.h, eps,
-                           "torque_xy_abs_error", float(np.hypot(torque[0], torque[1])))
+                report.add(*key, eps, "torque_z_rel_error",
+                           abs(torque[2] - target) / abs(target))
+                report.add(*key, eps, "torque_xy_abs_error",
+                           float(np.hypot(torque[0], torque[1])))
     metric = "drag_x_rel_error" if kind == "translate" else "torque_z_rel_error"
     _add_slope(report, metric)
     return report
@@ -254,47 +253,39 @@ def _forward_spheroid(report, params):
     mu = params.get("mu", 1.0)
     a = params.get("a", 3.0)
     b = params.get("b", 1.0)
-    for grading in _grid(params, "grading_values", (0.0,)):
-        for f in _grid(params, "f_values", (4, 5, 6)):
+    for grading in params.get("grading_values", (0.0,)):
+        for f in params.get("f_values", (4, 5, 6)):
             mesh = make_spheroid_mesh(f, a, b, grading=grading)
-            stats = mesh_stats(mesh)
+            key = _row_key(mesh)
             tractions = ref.spheroid_rotation_reference(mesh.vertices, a, b, mu)[0]
             target = np.cross([0.0, 0.0, 1.0], mesh.vertices)
-            for eps in _grid(params, "eps_values", (1e-4,)):
+            for eps in params.get("eps_values", (1e-4,)):
                 kp = KernelParams(eps=eps, mu=mu)
                 u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
                 point_err = np.linalg.norm(u - target, axis=1)
                 zfrac = np.abs(mesh.vertices[:, 2]) / a
                 polar = point_err[zfrac > 0.9]
                 equator = point_err[zfrac < 0.3]
-                nf, dof = mesh.num_faces, 3 * mesh.num_vertices
                 tag = f"grading={grading:g}:"
-                report.add(nf, dof, stats.h, eps, tag + "l2_error",
-                           ref.l2_error(point_err))
-                report.add(nf, dof, stats.h, eps, tag + "polar_max_error",
+                report.add(*key, eps, tag + "l2_error", ref.l2_error(point_err))
+                report.add(*key, eps, tag + "polar_max_error",
                            polar.max() if polar.size else 0.0)
-                report.add(nf, dof, stats.h, eps, tag + "equator_median_error",
+                report.add(*key, eps, tag + "equator_median_error",
                            np.median(equator) if equator.size else 0.0)
     return report
 
 
 def _squirmer(report, params):
     mu = params.get("mu", 1.0)
-    a = params.get("a", 1.0)
-    B1 = params.get("B1", 1.5)
-    for f in _grid(params, "f_values", range(3, 9)):
-        mesh = make_icosphere(f, radius=a)
-        stats = mesh_stats(mesh)
-        slip = _squirmer_slip(mesh, B1)
-        for eps in _grid(params, "eps_values", (1e-4,)):
+    for _, mesh, key in _spheres(params.get("a", 1.0),
+                                 params.get("f_values", range(3, 9))):
+        slip = _squirmer_slip(mesh)
+        for eps in params.get("eps_values", (1e-4,)):
             kp = KernelParams(eps=eps, mu=mu)
             sol = solver.solve_swimmer(mesh, slip, kp, center=np.zeros(3))
-            nf, dof = mesh.num_faces, 3 * mesh.num_vertices
-            report.add(nf, dof, stats.h, eps, "U_z_error",
-                       abs(sol.U[2] - (2.0 / 3.0) * B1))
-            report.add(nf, dof, stats.h, eps, "U_xy", float(np.hypot(*sol.U[:2])))
-            report.add(nf, dof, stats.h, eps, "Omega_norm",
-                       float(np.linalg.norm(sol.Omega)))
+            report.add(*key, eps, "U_z_error", abs(sol.U[2] - (2.0 / 3.0) * B1))
+            report.add(*key, eps, "U_xy", float(np.hypot(*sol.U[:2])))
+            report.add(*key, eps, "Omega_norm", float(np.linalg.norm(sol.Omega)))
     _add_slope(report, "U_z_error")
     return report
 
@@ -303,26 +294,23 @@ def _linear_vs_constant(report, params):
     mu = params.get("mu", 1.0)
     a = params.get("a", 1.0)
     cond_f = params.get("condition_f", 4)
-    for f in _grid(params, "f_values", range(2, 7)):
-        mesh = make_icosphere(f, radius=a)
-        stats = mesh_stats(mesh)
+    for f, mesh, key in _spheres(a, params.get("f_values", range(2, 7))):
         tractions, target = _rigid_sphere(mesh, "rotate", a, mu)
         face_tractions = tractions[mesh.faces].mean(axis=1)
-        for eps in _grid(params, "eps_values", (1e-4,)):
+        for eps in params.get("eps_values", (1e-4,)):
             kp = KernelParams(eps=eps, mu=mu)
             u_lin = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
             u_con = solver.constant_evaluate_velocity(
                 mesh, face_tractions, mesh.vertices, kp
             )
-            nf, dof = mesh.num_faces, 3 * mesh.num_vertices
             err = np.linalg.norm(u_lin - target, axis=1)
-            report.add(nf, dof, stats.h, eps, "linear_l2_error", ref.l2_error(err))
+            report.add(*key, eps, "linear_l2_error", ref.l2_error(err))
             err = np.linalg.norm(u_con - target, axis=1)
-            report.add(nf, dof, stats.h, eps, "constant_l2_error", ref.l2_error(err))
+            report.add(*key, eps, "constant_l2_error", ref.l2_error(err))
             if f == cond_f:
-                report.add(nf, dof, stats.h, eps, "condition_linear",
+                report.add(*key, eps, "condition_linear",
                            np.linalg.cond(solver.assemble_resistance(mesh, kp)))
-                report.add(nf, dof, stats.h, eps, "condition_constant",
+                report.add(*key, eps, "condition_constant",
                            np.linalg.cond(solver.constant_assemble_resistance(mesh, kp)))
     return report
 
@@ -330,25 +318,23 @@ def _linear_vs_constant(report, params):
 def _mrs_comparison(report, params):
     mu = params.get("mu", 1.0)
     a = params.get("a", 1.0)
-    f = params.get("f", 4)
-    mesh = make_icosphere(f, radius=a)
-    stats = mesh_stats(mesh)
+    mesh = make_icosphere(params.get("f", 4), radius=a)
+    key = _row_key(mesh)
     tractions, target = _rigid_sphere(mesh, "translate", a, mu)
-    nf, dof = mesh.num_faces, 3 * mesh.num_vertices
     # default values at or below the mesh's eps floor are left out (1e-8 at
     # f <= 2); values passed in are used as given and raise there
     floor = epsilon_floor(mesh)
     default_eps = [eps for eps in (1e-4, 1e-6, 1e-8) if eps > floor]
-    for eps in _grid(params, "eps_values", default_eps):
+    for eps in params.get("eps_values", default_eps):
         kp = KernelParams(eps=eps, mu=mu)
         u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
         err = ref.l2_error(np.linalg.norm(u - target, axis=1))
-        report.add(nf, dof, stats.h, eps, "surfaces_l2_error", err)
-    for eps in _grid(params, "mrs_eps_values", (5e-2, 5e-3)):
+        report.add(*key, eps, "surfaces_l2_error", err)
+    for eps in params.get("mrs_eps_values", (5e-2, 5e-3)):
         kp = KernelParams(eps=eps, mu=mu)
         u = solver.baseline_mrs_velocity(mesh, tractions, mesh.vertices, kp)
         err = ref.l2_error(np.linalg.norm(u - target, axis=1))
-        report.add(nf, dof, stats.h, eps, "mrs_l2_error", err)
+        report.add(*key, eps, "mrs_l2_error", err)
     return report
 
 
@@ -378,50 +364,49 @@ def _triangle_quadrature_points(frame):
 
 def _pipe_leak(report, params):
     mu = params.get("mu", 1.0)
-    dP = params.get("dP", 1.0)
-    s = params.get("s", 0.25)
     half_length = params.get("L", 2.5)
     duct = params.get("a", 1.0)
     h_pipe = params.get("h_pipe", 0.2)
     nterms = params.get("nterms", 50)
-    flux0 = ref.flux_without_cube(s, duct, duct, dP, mu, nterms)
+    flux0 = ref.flux_without_cube(CUBE_HALF_SIDE, duct, duct, DUCT_DP, mu, nterms)
     pipe = make_pipe_mesh(half_length, duct, duct, h_pipe)
 
-    for h_cube in _grid(params, "h_cube_values", (0.1, 0.05, 0.0333)):
-        cube = make_box_mesh((0.0, 0.0, 0.0), s, h_cube)
+    def u_duct(pts):
+        u = np.zeros((len(pts), 3))
+        u[:, 0] = ref.pipe_reference(pts[:, 1], pts[:, 2], duct, duct, DUCT_DP, mu,
+                                     nterms)
+        return u
+
+    for h_cube in params.get("h_cube_values", (0.1, 0.05, 0.0333)):
+        cube = make_box_mesh((0.0, 0.0, 0.0), CUBE_HALF_SIDE, h_cube)
         mesh = cube.merged_with(pipe)
-        n_cube = cube.num_vertices
-        u_pipe_at = lambda pts: np.column_stack(
-            [
-                ref.pipe_reference(pts[:, 1], pts[:, 2], duct, duct, dP, mu, nterms),
-                np.zeros(len(pts)),
-                np.zeros(len(pts)),
-            ]
-        )
         bc = np.zeros((mesh.num_vertices, 3))
-        bc[:n_cube] = -u_pipe_at(cube.vertices)
-        stats = mesh_stats(cube)
+        bc[:cube.num_vertices] = -u_duct(cube.vertices)
+        key = (cube.num_faces, 3 * mesh.num_vertices, mesh_stats(cube).h)
+        # the cube's front (x < 0) and back (x > 0) faces: their outward
+        # normal, quadrature points and weights, and duct flow at the points
         frames = cube.frames
-        centroid_x = (frames.y0[:, 0] + frames.y1[:, 0] + frames.y2[:, 0]) / 3.0
-        for ratio in _grid(params, "eps_over_h", (1e-2, 1e-1, 0.3, 1.0)):
+        centroid_x = cube.face_centroids()[:, 0]
+        sides = []
+        for sign in (-1.0, 1.0):
+            nhat = np.array([sign, 0.0, 0.0])
+            on_side = ((np.abs(frames.nhat @ nhat - 1.0) <= 1e-12)
+                       & (np.abs(centroid_x - sign * CUBE_HALF_SIDE) <= 1e-9))
+            qpts, qwts = _triangle_quadrature_points(frames.select(on_side))
+            sides.append((nhat, qpts, qwts, u_duct(qpts)))
+        for ratio in params.get("eps_over_h", (1e-2, 1e-1, 0.3, 1.0)):
             eps = ratio * h_cube
             kp = KernelParams(eps=eps, mu=mu)
             matrix = solver.assemble_resistance(mesh, kp)
             forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
-            for face_name, sign in (("front", -1.0), ("back", 1.0)):
-                nhat = np.array([sign, 0.0, 0.0])
-                on_side = ((np.abs(frames.nhat @ nhat - 1.0) <= 1e-12)
-                           & (np.abs(centroid_x - sign * s) <= 1e-9))
-                qpts, qwts = _triangle_quadrature_points(frames.select(on_side))
-                u = solver.evaluate_velocity(mesh, forces, qpts, kp) + u_pipe_at(qpts)
-                flux = float(np.sum(qwts * np.abs(u @ nhat)))
-                leak = flux / flux0
-                metric = "leak_front" if face_name == "front" else "leak_back"
-                report.add(cube.num_faces, 3 * mesh.num_vertices, stats.h, eps,
-                           metric, leak)
-                if face_name == "front":
-                    report.add(cube.num_faces, 3 * mesh.num_vertices, stats.h, eps,
-                               "scaled_leak", leak * h_cube ** (-1.5))
+            leaks = []
+            for nhat, qpts, qwts, u_qpts in sides:
+                u = solver.evaluate_velocity(mesh, forces, qpts, kp) + u_qpts
+                leaks.append(float(np.sum(qwts * np.abs(u @ nhat))) / flux0)
+            front, back = leaks
+            report.add(*key, eps, "leak_front", front)
+            report.add(*key, eps, "scaled_leak", front * h_cube ** (-1.5))
+            report.add(*key, eps, "leak_back", back)
     # power-law fit of scaled leak vs eps/h across the whole grid
     scaled_rows = [r for r in report.rows if r["metric"] == "scaled_leak"]
     if len(scaled_rows) >= 2:
@@ -451,5 +436,4 @@ def run_study(study_id: str, params: dict | None = None) -> ExperimentReport:
     """Run one named validation study and return its report."""
     if study_id not in _STUDIES:
         raise ValueError(f"unknown study {study_id!r}; choose from {STUDY_IDS}")
-    params = dict(params or {})
-    return _STUDIES[study_id](_report(study_id, params), params)
+    return _STUDIES[study_id](ExperimentReport(study_id), dict(params or {}))

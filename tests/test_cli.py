@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stokeslet_surfaces import (
+    ExperimentReport,
     TriMesh,
     read_mesh,
     sphere_translation_reference,
@@ -15,6 +16,7 @@ from stokeslet_surfaces.cli import (
     main,
     parse_args,
 )
+from stokeslet_surfaces import studies
 
 
 def test_parse_args_mesh_defaults():
@@ -33,6 +35,31 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def test_empty_grid_rejected():
     assert main(["study", "--id", "resistance-drag", "--eps", ","]) == EXIT_USAGE
+
+
+def _study_params(monkeypatch, argv):
+    """The params dict `study` hands to run_study for the flags in argv."""
+    seen = {}
+
+    def run_study(study_id, params):
+        seen.update(params)
+        return ExperimentReport(study_id)
+
+    monkeypatch.setattr(studies, "run_study", run_study)
+    assert main(["study"] + argv) == EXIT_OK
+    return seen
+
+
+def test_study_flags_pass_through_under_parameter_names(monkeypatch):
+    params = _study_params(monkeypatch, [
+        "--id", "pipe-leak", "--h-cube", "0.5", "--eps-over-h", "0.1,0.2",
+        "--nterms", "30", "--a", "1.2"])
+    assert params == {"h_cube_values": [0.5], "eps_over_h": [0.1, 0.2],
+                      "nterms": 30, "a": 1.2}
+    params = _study_params(monkeypatch, ["--id", "mrs-comparison", "--f", "2"])
+    assert params == {"f_values": [2], "f": 2}
+    # flags left out pass no key, so each study's own defaults apply
+    assert _study_params(monkeypatch, ["--id", "squirmer"]) == {}
 
 
 def test_mesh_roundtrip(tmp_path, capsys):
@@ -106,6 +133,13 @@ def test_degenerate_mesh_file_is_mesh_error(tmp_path, capsys):
     write_mesh(TriMesh([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]], [[0, 1, 2]]), mesh_path)
     assert main(["eval", "--mesh-file", str(mesh_path), "--point", "5,0,0"]) == EXIT_IO
     assert "collinear" in capsys.readouterr().err
+
+
+def test_empty_mesh_file_is_mesh_error(tmp_path, capsys):
+    mesh_path = tmp_path / "empty.mesh"
+    mesh_path.write_text("0 0\n")
+    assert main(["solve", "--mesh-file", str(mesh_path)]) == EXIT_IO
+    assert "no faces" in capsys.readouterr().err
 
 
 def _tetrahedron_at_origin(tmp_path):

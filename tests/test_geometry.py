@@ -82,6 +82,8 @@ def test_mesh_validation_rejects_bad_faces():
         TriMesh(verts, [[0, 1, 5]])
     with pytest.raises(MeshFormatError):
         TriMesh(verts, [[0, 1, 1]])
+    with pytest.raises(MeshFormatError, match="no faces"):
+        TriMesh(verts, np.zeros((0, 3), dtype=int))
 
 
 def test_mesh_validation_rejects_duplicate_vertices():
@@ -163,3 +165,11 @@ def test_merged_mesh_offsets_faces():
     assert merged.num_vertices == 2 * a.num_vertices
     assert merged.num_faces == 2 * a.num_faces
     assert np.array_equal(merged.faces[a.num_faces:], b.faces + a.num_vertices)
+
+
+def test_merging_surfaces_that_share_a_vertex_rejected():
+    # the icosahedron holds -v for each vertex v: b's copy of -v lands on v
+    a = make_icosphere(1)
+    b = a.transformed(translation=2.0 * a.vertices[0])
+    with pytest.raises(MeshFormatError, match="duplicate vertices"):
+        a.merged_with(b)

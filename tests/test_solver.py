@@ -352,6 +352,26 @@ def test_malformed_force_arrays_rejected(entry, shape):
         _ROW_ENTRIES[entry](mesh, values, KernelParams(eps=1e-2))
 
 
+@pytest.mark.parametrize("entry", list(_ROW_ENTRIES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_force_arrays_rejected(entry, bad):
+    mesh = make_icosphere(1)
+    rows = mesh.num_faces if "constant" in entry else mesh.num_vertices
+    values = np.ones((rows, 3))
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        _ROW_ENTRIES[entry](mesh, values, KernelParams(eps=1e-2))
+
+
+@pytest.mark.parametrize("entry", [evaluate_velocity, baseline_mrs_velocity])
+def test_non_finite_points_rejected(entry):
+    mesh = make_icosphere(1)
+    forces = np.ones((mesh.num_vertices, 3))
+    with pytest.raises(ValueError, match="points must be finite"):
+        entry(mesh, forces, [[2.0, 0.0, 0.0], [np.nan, 0.0, 0.0]],
+              KernelParams(eps=1e-2))
+
+
 def test_solve_resistance_rejects_malformed_matrix():
     mesh = make_icosphere(1)
     velocities = np.ones((mesh.num_vertices, 3))

@@ -1,0 +1,46 @@
+"""The benchmark's tracer still finds every package attribute it wraps.
+
+`bench/tracing.py` swaps named functions, methods and properties of the
+package for span wrappers. A renamed target would be skipped silently in a
+benchmark run and only listed in `Instrumentation.missing`, so this test
+installs the wrappers with a disabled tracer, requires that list to be
+empty, and checks that `restore` puts every original attribute back.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import stokeslet_surfaces as ss
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes():
+    holders = [ss, ss.geometry, ss.kernel, ss.solver, ss.reference, ss.studies,
+               np.linalg, ss.geometry.TriMesh, ss.kernel.KernelParams]
+    return {(holder.__name__, name): value
+            for holder in holders for name, value in vars(holder).items()}
+
+
+def test_tracing_finds_every_target_and_restores_it():
+    tracing = _load_tracing()
+    before = _attributes()
+    instr = tracing.Instrumentation(ss, tracing.Tracer(enabled=False))
+    try:
+        instr.install()
+        assert instr.missing == []
+        assert _attributes() != before  # the wrappers are in place
+    finally:
+        instr.restore()
+    after = _attributes()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

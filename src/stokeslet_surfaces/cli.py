@@ -59,7 +59,7 @@ def _vec3(text):
 _vec3.__name__ = "x,y,z point"  # argparse: "invalid x,y,z point value"
 
 
-def parse_args(argv):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="stokeslet-surfaces",
         description="Boundary-integral Stokes flow with analytically "
@@ -106,8 +106,9 @@ def parse_args(argv):
     p_solve.add_argument("--out", default=None,
                          help="write per-vertex x,y,z,fx,fy,fz CSV")
 
-    # each flag's dest is the study parameter it sets; a flag left out sets
-    # nothing, so the study's own default applies
+    # each flag's dest is the study keyword it sets; a flag left out sets
+    # nothing, so the study's own default applies, and a flag the study takes
+    # no keyword for is rejected by run_study (exit 2)
     p_study = sub.add_parser("study", help="run a validation study",
                              argument_default=argparse.SUPPRESS)
     p_study.add_argument("--id", required=True, choices=studies.STUDY_IDS)
@@ -122,8 +123,11 @@ def parse_args(argv):
     p_study.add_argument("--grading", dest="grading_values", type=_list(float))
     p_study.add_argument("--h-cube", dest="h_cube_values", type=_list(float))
     p_study.add_argument("--eps-over-h", type=_list(float))
-    p_study.add_argument("--nterms", type=int)
-    return parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv):
+    return _parser().parse_args(argv)
 
 
 def _build_mesh(config):
@@ -186,8 +190,6 @@ def _run_solve(config):
 def _run_study(config):
     params = {key: value for key, value in vars(config).items()
               if key not in ("command", "id", "out")}
-    if "f_values" in params:  # mrs-comparison runs on one mesh
-        params["f"] = params["f_values"][0]
     report = studies.run_study(config.id, params)
     for line in report.summary_lines():
         print(line)

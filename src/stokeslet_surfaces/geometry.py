@@ -159,9 +159,6 @@ class TriMesh:
     def face_centroids(self) -> np.ndarray:
         return self.vertices[self.faces].mean(axis=1)
 
-    def vertex_centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def transformed(self, rotation=None, translation=None) -> "TriMesh":
         """Rigidly rotate and/or translate the mesh."""
         v = self.vertices

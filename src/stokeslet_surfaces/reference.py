@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Indices of the 50 terms of the duct series (truncation about 5e-7 at walls).
+_DUCT_N = np.arange(1, 51)
+
 __all__ = [
     "l2_error",
     "sphere_translation_reference",
@@ -91,7 +94,7 @@ def spheroid_rotation_reference(x, a: float, b: float, mu: float):
     return traction, M
 
 
-def squirmer_slip(theta, phi, B1: float = 1.5) -> np.ndarray:
+def squirmer_slip(theta, phi, B1: float) -> np.ndarray:
     """Cartesian slip velocity B1 * V1(cos theta) * theta_hat on the unit
     sphere, with V1(c) = sqrt(1 - c^2). theta and phi are floats, giving
     shape (3,), or 1-D arrays of one length N, giving shape (N, 3)."""
@@ -101,18 +104,14 @@ def squirmer_slip(theta, phi, B1: float = 1.5) -> np.ndarray:
     return (B1 * np.sin(theta) * that).T
 
 
-def pipe_reference(y, z, a: float, b: float, dP: float, mu: float,
-                   nterms: int = 50):
+def pipe_reference(y, z, a: float, b: float, dP: float, mu: float):
     """Axial velocity of pressure-driven flow in a rectangular duct
-    |y| <= a, |z| <= b, as a truncated cosh/cos series with nterms terms."""
-    if nterms < 1:
-        raise ValueError("nterms must be >= 1")
+    |y| <= a, |z| <= b, as a cosh/cos series truncated at 50 terms."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    n = np.arange(1, nterms + 1)
-    alpha = (n - 0.5) * np.pi
+    alpha = (_DUCT_N - 0.5) * np.pi
     series = np.sum(
-        (-1.0) ** n
+        (-1.0) ** _DUCT_N
         / alpha**3
         * np.cosh(alpha * y[..., None] / b)
         / np.cosh(alpha * a / b)
@@ -123,15 +122,11 @@ def pipe_reference(y, z, a: float, b: float, dP: float, mu: float,
     return u if u.ndim else float(u)
 
 
-def flux_without_cube(s: float, a: float, b: float, dP: float, mu: float,
-                      nterms: int = 50) -> float:
+def flux_without_cube(s: float, a: float, b: float, dP: float, mu: float) -> float:
     """Flux of the unobstructed duct flow through the square |y|,|z| <= s."""
-    if nterms < 1:
-        raise ValueError("nterms must be >= 1")
-    n = np.arange(1, nterms + 1)
-    alpha = (n - 0.5) * np.pi
+    alpha = (_DUCT_N - 0.5) * np.pi
     series = np.sum(
-        (-1.0) ** n
+        (-1.0) ** _DUCT_N
         / alpha**5
         * np.sinh(alpha * s / b)
         / np.cosh(alpha * a / b)

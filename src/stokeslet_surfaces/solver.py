@@ -71,6 +71,14 @@ def _as_points(points):
     return _as_rows(np.atleast_2d(points), None, "points")
 
 
+def _as_center(center) -> np.ndarray:
+    """center as one finite float 3-vector; anything else raises ValueError."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (3,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be one finite 3-vector, got {center!r}")
+    return center
+
+
 def _evaluate(mesh: TriMesh, corner_forces, points, params: KernelParams):
     """Velocity at points, shape (M, 3), from the forces at each face corner,
     shape (F, 3, 3): face, corner, xyz."""
@@ -190,7 +198,6 @@ def _vertex_moments(mesh: TriMesh, center):
     n = mesh.num_vertices
     bh = mesh.frames.BH
     corners = mesh.vertices[mesh.faces]  # (F, 3, 3): face, corner, xyz
-    center = np.asarray(center, dtype=float)
     lever = corners.sum(axis=1)[:, None, :] + corners - 4.0 * center
     weights = np.zeros(n)
     np.add.at(weights, mesh.faces, (bh / 6.0)[:, None])
@@ -206,11 +213,10 @@ def net_force(mesh: TriMesh, forces) -> np.ndarray:
     return weights @ forces
 
 
-def net_torque(mesh: TriMesh, forces, center=None) -> np.ndarray:
-    """Total torque about `center` (default: vertex centroid)."""
+def net_torque(mesh: TriMesh, forces, center) -> np.ndarray:
+    """Total torque about the point `center`."""
     forces = _as_rows(forces, mesh.num_vertices, "forces")
-    yc = mesh.vertex_centroid() if center is None else center
-    _, blocks = _vertex_moments(mesh, yc)
+    _, blocks = _vertex_moments(mesh, _as_center(center))
     return np.einsum("nij,nj->i", blocks, forces)
 
 
@@ -224,17 +230,17 @@ class SwimmerSolution:
 
 
 def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
-                  center=None) -> SwimmerSolution:
+                  center) -> SwimmerSolution:
     """Solve for forces and rigid motion given a prescribed surface slip.
 
     The boundary condition at each vertex is
         u(y_i) = U + Omega x (y_i - c) + slip_i
-    augmented by zero net force and zero net torque about the body center c
-    (default: vertex centroid), making the (3N + 6) system square.
+    augmented by zero net force and zero net torque about the body center
+    c = `center`, making the (3N + 6) system square.
     """
     n = mesh.num_vertices
     slip = _as_rows(slip, n, "slip")
-    c = mesh.vertex_centroid() if center is None else np.asarray(center, dtype=float)
+    c = _as_center(center)
 
     size = 3 * n + 6
     A = np.zeros((size, size))

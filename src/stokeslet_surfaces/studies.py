@@ -6,14 +6,16 @@ whose rows serialize to CSV with the fixed header
 
     experiment,num_faces,dof,h,eps,metric,value
 
-A study reads its settings from the `params` dict by name (`f_values`,
-`eps_values`, `mu`, `a`, ...) and holds the only default of each; the CLI
-passes the flags it was given under the same names. Velocity field samples
-are exported separately as x,y,z,ux,uy,uz rows.
+A study's settings are the keyword arguments of its function (`f_values`,
+`eps_values`, `mu`, `a`, ...): their names and defaults are the one table of
+settings. `run_study` binds its `params` dict to them and rejects a key the
+study does not take; the CLI passes the flags it was given under the same
+names. Velocity field samples are exported separately as x,y,z,ux,uy,uz rows.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -45,9 +47,11 @@ __all__ = [
 CSV_HEADER = "experiment,num_faces,dof,h,eps,metric,value"
 
 # Settings no study varies: the squirmer's slip amplitude (swim speed 2 B1/3),
-# the duct's pressure gradient, the half side of the cube in the duct, and the
-# relative change below which fit_loglog_slope treats an error as plateaued.
+# the frequency of linear-vs-constant's condition numbers, the duct's pressure
+# gradient, the half side of the cube in the duct, and the relative change
+# below which fit_loglog_slope treats an error as plateaued.
 B1 = 1.5
+CONDITION_F = 4
 DUCT_DP = 1.0
 CUBE_HALF_SIDE = 0.25
 PLATEAU_TOL = 0.05
@@ -195,12 +199,11 @@ def _spheres(a, f_values):
         yield f, mesh, _row_key(mesh)
 
 
-def _forward_sphere(report, params, kind):
-    mu = params.get("mu", 1.0)
-    a = params.get("a", 1.0)
-    for _, mesh, key in _spheres(a, params.get("f_values", range(2, 9))):
+def _forward_sphere(kind, report, *, f_values=range(2, 9), eps_values=(1e-4,),
+                    a=1.0, mu=1.0):
+    for _, mesh, key in _spheres(a, f_values):
         tractions, target = _rigid_sphere(mesh, kind, a, mu)
-        for eps in params.get("eps_values", (1e-4,)):
+        for eps in eps_values:
             kp = KernelParams(eps=eps, mu=mu)
             u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
             err = ref.l2_error(np.linalg.norm(u - target, axis=1))
@@ -221,12 +224,11 @@ def _add_slope(report, metric):
         report.add(0, 0, 0.0, 0.0, "fit_slope", slope)
 
 
-def _resistance_sphere(report, params, kind):
-    mu = params.get("mu", 1.0)
-    a = params.get("a", 1.0)
-    for _, mesh, key in _spheres(a, params.get("f_values", range(2, 7))):
+def _resistance_sphere(kind, report, *, f_values=range(2, 7), eps_values=(1e-4,),
+                       a=1.0, mu=1.0):
+    for _, mesh, key in _spheres(a, f_values):
         _, bc = _rigid_sphere(mesh, kind, a, mu)
-        for eps in params.get("eps_values", (1e-4,)):
+        for eps in eps_values:
             kp = KernelParams(eps=eps, mu=mu)
             matrix = solver.assemble_resistance(mesh, kp)
             forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
@@ -249,17 +251,15 @@ def _resistance_sphere(report, params, kind):
     return report
 
 
-def _forward_spheroid(report, params):
-    mu = params.get("mu", 1.0)
-    a = params.get("a", 3.0)
-    b = params.get("b", 1.0)
-    for grading in params.get("grading_values", (0.0,)):
-        for f in params.get("f_values", (4, 5, 6)):
+def _forward_spheroid(report, *, f_values=(4, 5, 6), eps_values=(1e-4,),
+                      grading_values=(0.0,), a=3.0, b=1.0, mu=1.0):
+    for grading in grading_values:
+        for f in f_values:
             mesh = make_spheroid_mesh(f, a, b, grading=grading)
             key = _row_key(mesh)
             tractions = ref.spheroid_rotation_reference(mesh.vertices, a, b, mu)[0]
             target = np.cross([0.0, 0.0, 1.0], mesh.vertices)
-            for eps in params.get("eps_values", (1e-4,)):
+            for eps in eps_values:
                 kp = KernelParams(eps=eps, mu=mu)
                 u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
                 point_err = np.linalg.norm(u - target, axis=1)
@@ -275,12 +275,10 @@ def _forward_spheroid(report, params):
     return report
 
 
-def _squirmer(report, params):
-    mu = params.get("mu", 1.0)
-    for _, mesh, key in _spheres(params.get("a", 1.0),
-                                 params.get("f_values", range(3, 9))):
+def _squirmer(report, *, f_values=range(3, 9), eps_values=(1e-4,), a=1.0, mu=1.0):
+    for _, mesh, key in _spheres(a, f_values):
         slip = _squirmer_slip(mesh)
-        for eps in params.get("eps_values", (1e-4,)):
+        for eps in eps_values:
             kp = KernelParams(eps=eps, mu=mu)
             sol = solver.solve_swimmer(mesh, slip, kp, center=np.zeros(3))
             report.add(*key, eps, "U_z_error", abs(sol.U[2] - (2.0 / 3.0) * B1))
@@ -290,14 +288,12 @@ def _squirmer(report, params):
     return report
 
 
-def _linear_vs_constant(report, params):
-    mu = params.get("mu", 1.0)
-    a = params.get("a", 1.0)
-    cond_f = params.get("condition_f", 4)
-    for f, mesh, key in _spheres(a, params.get("f_values", range(2, 7))):
+def _linear_vs_constant(report, *, f_values=range(2, 7), eps_values=(1e-4,),
+                        a=1.0, mu=1.0):
+    for f, mesh, key in _spheres(a, f_values):
         tractions, target = _rigid_sphere(mesh, "rotate", a, mu)
         face_tractions = tractions[mesh.faces].mean(axis=1)
-        for eps in params.get("eps_values", (1e-4,)):
+        for eps in eps_values:
             kp = KernelParams(eps=eps, mu=mu)
             u_lin = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
             u_con = solver.constant_evaluate_velocity(
@@ -307,7 +303,7 @@ def _linear_vs_constant(report, params):
             report.add(*key, eps, "linear_l2_error", ref.l2_error(err))
             err = np.linalg.norm(u_con - target, axis=1)
             report.add(*key, eps, "constant_l2_error", ref.l2_error(err))
-            if f == cond_f:
+            if f == CONDITION_F:
                 report.add(*key, eps, "condition_linear",
                            np.linalg.cond(solver.assemble_resistance(mesh, kp)))
                 report.add(*key, eps, "condition_constant",
@@ -315,26 +311,23 @@ def _linear_vs_constant(report, params):
     return report
 
 
-def _mrs_comparison(report, params):
-    mu = params.get("mu", 1.0)
-    a = params.get("a", 1.0)
-    mesh = make_icosphere(params.get("f", 4), radius=a)
-    key = _row_key(mesh)
-    tractions, target = _rigid_sphere(mesh, "translate", a, mu)
-    # default values at or below the mesh's eps floor are left out (1e-8 at
-    # f <= 2); values passed in are used as given and raise there
-    floor = epsilon_floor(mesh)
-    default_eps = [eps for eps in (1e-4, 1e-6, 1e-8) if eps > floor]
-    for eps in params.get("eps_values", default_eps):
-        kp = KernelParams(eps=eps, mu=mu)
-        u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
-        err = ref.l2_error(np.linalg.norm(u - target, axis=1))
-        report.add(*key, eps, "surfaces_l2_error", err)
-    for eps in params.get("mrs_eps_values", (5e-2, 5e-3)):
-        kp = KernelParams(eps=eps, mu=mu)
-        u = solver.baseline_mrs_velocity(mesh, tractions, mesh.vertices, kp)
-        err = ref.l2_error(np.linalg.norm(u - target, axis=1))
-        report.add(*key, eps, "mrs_l2_error", err)
+def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
+                    mrs_eps_values=(5e-2, 5e-3), a=1.0, mu=1.0):
+    for _, mesh, key in _spheres(a, f_values):
+        tractions, target = _rigid_sphere(mesh, "translate", a, mu)
+        # eps_values=None takes those of 1e-4, 1e-6, 1e-8 above the mesh's
+        # floor (not 1e-8 at f <= 2); values passed in are used as given
+        floor = epsilon_floor(mesh)
+        surface_eps = ([eps for eps in (1e-4, 1e-6, 1e-8) if eps > floor]
+                       if eps_values is None else eps_values)
+        for metric, evaluate, eps_list in (
+                ("surfaces_l2_error", solver.evaluate_velocity, surface_eps),
+                ("mrs_l2_error", solver.baseline_mrs_velocity, mrs_eps_values)):
+            for eps in eps_list:
+                kp = KernelParams(eps=eps, mu=mu)
+                u = evaluate(mesh, tractions, mesh.vertices, kp)
+                err = ref.l2_error(np.linalg.norm(u - target, axis=1))
+                report.add(*key, eps, metric, err)
     return report
 
 
@@ -362,22 +355,17 @@ def _triangle_quadrature_points(frame):
     return pts.reshape(-1, 3), wts.reshape(-1)
 
 
-def _pipe_leak(report, params):
-    mu = params.get("mu", 1.0)
-    half_length = params.get("L", 2.5)
-    duct = params.get("a", 1.0)
-    h_pipe = params.get("h_pipe", 0.2)
-    nterms = params.get("nterms", 50)
-    flux0 = ref.flux_without_cube(CUBE_HALF_SIDE, duct, duct, DUCT_DP, mu, nterms)
-    pipe = make_pipe_mesh(half_length, duct, duct, h_pipe)
+def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
+               eps_over_h=(1e-2, 1e-1, 0.3, 1.0), h_pipe=0.2, L=2.5, a=1.0, mu=1.0):
+    flux0 = ref.flux_without_cube(CUBE_HALF_SIDE, a, a, DUCT_DP, mu)
+    pipe = make_pipe_mesh(L, a, a, h_pipe)
 
     def u_duct(pts):
         u = np.zeros((len(pts), 3))
-        u[:, 0] = ref.pipe_reference(pts[:, 1], pts[:, 2], duct, duct, DUCT_DP, mu,
-                                     nterms)
+        u[:, 0] = ref.pipe_reference(pts[:, 1], pts[:, 2], a, a, DUCT_DP, mu)
         return u
 
-    for h_cube in params.get("h_cube_values", (0.1, 0.05, 0.0333)):
+    for h_cube in h_cube_values:
         cube = make_box_mesh((0.0, 0.0, 0.0), CUBE_HALF_SIDE, h_cube)
         mesh = cube.merged_with(pipe)
         bc = np.zeros((mesh.num_vertices, 3))
@@ -394,7 +382,7 @@ def _pipe_leak(report, params):
                        & (np.abs(centroid_x - sign * CUBE_HALF_SIDE) <= 1e-9))
             qpts, qwts = _triangle_quadrature_points(frames.select(on_side))
             sides.append((nhat, qpts, qwts, u_duct(qpts)))
-        for ratio in params.get("eps_over_h", (1e-2, 1e-1, 0.3, 1.0)):
+        for ratio in eps_over_h:
             eps = ratio * h_cube
             kp = KernelParams(eps=eps, mu=mu)
             matrix = solver.assemble_resistance(mesh, kp)
@@ -419,10 +407,11 @@ def _pipe_leak(report, params):
 
 
 _STUDIES = {
-    "forward-translate": partial(_forward_sphere, kind="translate"),
-    "forward-rotate": partial(_forward_sphere, kind="rotate"),
-    "resistance-drag": partial(_resistance_sphere, kind="translate"),
-    "resistance-torque": partial(_resistance_sphere, kind="rotate"),
+    # kind is bound positionally, so it is not a setting of the study
+    "forward-translate": partial(_forward_sphere, "translate"),
+    "forward-rotate": partial(_forward_sphere, "rotate"),
+    "resistance-drag": partial(_resistance_sphere, "translate"),
+    "resistance-torque": partial(_resistance_sphere, "rotate"),
     "forward-spheroid": _forward_spheroid,
     "squirmer": _squirmer,
     "pipe-leak": _pipe_leak,
@@ -433,7 +422,17 @@ STUDY_IDS = tuple(_STUDIES)
 
 
 def run_study(study_id: str, params: dict | None = None) -> ExperimentReport:
-    """Run one named validation study and return its report."""
+    """Run one named validation study with the settings in `params` and return
+    its report. A key the study takes no keyword argument for raises
+    ValueError before any work is done."""
     if study_id not in _STUDIES:
         raise ValueError(f"unknown study {study_id!r}; choose from {STUDY_IDS}")
-    return _STUDIES[study_id](ExperimentReport(study_id), dict(params or {}))
+    study = _STUDIES[study_id]
+    signature = inspect.signature(study)
+    try:
+        bound = signature.bind(ExperimentReport(study_id), **dict(params or {}))
+    except TypeError as exc:
+        settings = ", ".join(list(signature.parameters)[1:])  # all but report
+        raise ValueError(f"study {study_id!r}: {exc}; its settings are "
+                         f"{settings}") from None
+    return study(*bound.args, **bound.kwargs)

@@ -100,7 +100,8 @@ def test_criterion_04_rotation_torque_convergence():
 def test_criterion_05_regularization_decoupling():
     report = run_study(
         "mrs-comparison",
-        {"f": 4, "eps_values": [1e-4, 1e-6, 1e-8], "mrs_eps_values": [5e-2, 5e-3]},
+        {"f_values": [4], "eps_values": [1e-4, 1e-6, 1e-8],
+         "mrs_eps_values": [5e-2, 5e-3]},
     )
     surf = report.values("surfaces_l2_error")
     assert max(surf) / min(surf) < 1.10  # analytic integrals: eps-independent
@@ -130,7 +131,7 @@ def test_criterion_06_squirmer():
 def test_criterion_07_linear_vs_constant():
     report = run_study(
         "linear-vs-constant",
-        {"f_values": [2, 3, 4, 5, 6], "eps_values": [1e-4], "condition_f": 4},
+        {"f_values": [2, 3, 4, 5, 6], "eps_values": [1e-4]},
     )
     lin = report.values("linear_l2_error")
     con = report.values("constant_l2_error")

@@ -1,3 +1,6 @@
+import argparse
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from stokeslet_surfaces.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    _parser,
     main,
     parse_args,
 )
@@ -53,13 +57,29 @@ def _study_params(monkeypatch, argv):
 def test_study_flags_pass_through_under_parameter_names(monkeypatch):
     params = _study_params(monkeypatch, [
         "--id", "pipe-leak", "--h-cube", "0.5", "--eps-over-h", "0.1,0.2",
-        "--nterms", "30", "--a", "1.2"])
-    assert params == {"h_cube_values": [0.5], "eps_over_h": [0.1, 0.2],
-                      "nterms": 30, "a": 1.2}
-    params = _study_params(monkeypatch, ["--id", "mrs-comparison", "--f", "2"])
-    assert params == {"f_values": [2], "f": 2}
+        "--a", "1.2"])
+    assert params == {"h_cube_values": [0.5], "eps_over_h": [0.1, 0.2], "a": 1.2}
+    params = _study_params(monkeypatch, ["--id", "mrs-comparison", "--f", "2,4"])
+    assert params == {"f_values": [2, 4]}
     # flags left out pass no key, so each study's own defaults apply
     assert _study_params(monkeypatch, ["--id", "squirmer"]) == {}
+
+
+def test_every_study_flag_sets_a_study_keyword():
+    # a flag whose dest no study function takes would be rejected by every
+    # study it could be passed to
+    subparsers = next(action for action in _parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in subparsers.choices["study"]._actions}
+    keywords = {name for study in studies._STUDIES.values()
+                for name, p in inspect.signature(study).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+    assert sorted(dests - {"help", "id", "out"} - keywords) == []
+
+
+def test_study_flag_the_study_does_not_take_is_usage_error(capsys):
+    assert main(["study", "--id", "squirmer", "--h-cube", "0.1"]) == EXIT_USAGE
+    assert "h_cube_values" in capsys.readouterr().err
 
 
 def test_mesh_roundtrip(tmp_path, capsys):

@@ -14,6 +14,7 @@ from stokeslet_surfaces import (
     constant_assemble_resistance,
     constant_evaluate_velocity,
     evaluate_velocity,
+    make_box_mesh,
     make_icosphere,
     mesh_stats,
     net_force,
@@ -28,6 +29,7 @@ from stokeslet_surfaces import (
     TriMesh,
 )
 from stokeslet_surfaces import solver
+from stokeslet_surfaces.studies import B1
 from stokeslet_surfaces.solver import _own_face, _velocity_blocks, _vertex_moments
 
 
@@ -329,9 +331,11 @@ _ROW_ENTRIES = {
     "evaluate_velocity": (lambda mesh, values, params:
                           evaluate_velocity(mesh, values, [[2.0, 0.0, 0.0]], params)),
     "solve_resistance": solve_resistance,
-    "solve_swimmer": solve_swimmer,
+    "solve_swimmer": (lambda mesh, values, params:
+                      solve_swimmer(mesh, values, params, center=np.zeros(3))),
     "net_force": lambda mesh, values, params: net_force(mesh, values),
-    "net_torque": lambda mesh, values, params: net_torque(mesh, values),
+    "net_torque": (lambda mesh, values, params:
+                   net_torque(mesh, values, center=np.zeros(3))),
     "baseline_mrs_velocity": (lambda mesh, values, params:
                               baseline_mrs_velocity(mesh, values, [[2.0, 0.0, 0.0]],
                                                     params)),
@@ -372,6 +376,18 @@ def test_non_finite_points_rejected(entry):
               KernelParams(eps=1e-2))
 
 
+@pytest.mark.parametrize("center", [[0.0, 0.0], [[0.0, 0.0, 0.0]], np.nan,
+                                    [0.0, np.inf, 0.0]],
+                         ids=["(2,)", "(1, 3)", "nan", "inf"])
+def test_malformed_center_rejected(center):
+    mesh = make_icosphere(1)
+    values = np.ones((mesh.num_vertices, 3))
+    with pytest.raises(ValueError, match="center must be one finite 3-vector"):
+        net_torque(mesh, values, center=center)
+    with pytest.raises(ValueError, match="center must be one finite 3-vector"):
+        solve_swimmer(mesh, values, KernelParams(eps=1e-2), center=center)
+
+
 def test_solve_resistance_rejects_malformed_matrix():
     mesh = make_icosphere(1)
     velocities = np.ones((mesh.num_vertices, 3))
@@ -381,7 +397,8 @@ def test_solve_resistance_rejects_malformed_matrix():
 
 def test_swimmer_quiescent(small_sphere):
     params = KernelParams(eps=1e-3)
-    sol = solve_swimmer(small_sphere, np.zeros((small_sphere.num_vertices, 3)), params)
+    sol = solve_swimmer(small_sphere, np.zeros((small_sphere.num_vertices, 3)), params,
+                        center=np.zeros(3))
     assert np.allclose(sol.forces, 0.0, atol=1e-12)
     assert np.allclose(sol.U, 0.0, atol=1e-12)
     assert np.allclose(sol.Omega, 0.0, atol=1e-12)
@@ -394,7 +411,7 @@ def _squirmer_slip_field(mesh, flip=False):
     r = np.linalg.norm(mesh.vertices, axis=1)
     theta = np.arccos(np.clip(z / r, -1.0, 1.0))
     phi = np.arctan2(y, x)
-    slip = np.array([squirmer_slip(t, p) for t, p in zip(theta, phi)])
+    slip = np.array([squirmer_slip(t, p, B1) for t, p in zip(theta, phi)])
     if flip:
         slip[:, 2] = -slip[:, 2]
     return slip
@@ -467,6 +484,40 @@ def test_constant_forward_matches_linear_with_equal_forces(small_sphere):
         for k, p in enumerate(pts):
             u_lin[k] += triangle_velocity(p, frame, ff, ff, ff, params)
     assert np.allclose(u_const, u_lin, rtol=1e-11, atol=1e-14)
+
+
+def _points_off_the_unit_sphere():
+    """30 points with r < 0.3 and 30 with 1.5 < r < 3."""
+    rng = np.random.default_rng(0)
+    dirs = rng.normal(size=(60, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.concatenate([rng.uniform(0.0, 0.3, 30), rng.uniform(1.5, 3.0, 30)])
+    return dirs * radii[:, None]
+
+
+@pytest.mark.parametrize("mesh", [make_icosphere(2), make_icosphere(3),
+                                  make_box_mesh((0.0, 0.0, 0.0), 1.0, 0.5)],
+                         ids=["icosphere-2", "icosphere-3", "box"])
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+def test_face_normals_are_a_null_vector_of_the_single_layer(mesh, eps):
+    # the regularized Stokeslet is divergence-free, so by the divergence
+    # theorem the closed surface integral of S(x - y) n(y) vanishes at every
+    # x, for any eps and any closed mesh of flat faces: an exact oracle of
+    # the constant-element moments on whole meshes (T[0,0,3] cancels out of
+    # normal forces, so it checks the contour terms and the q = 3 moments)
+    params = KernelParams(eps=eps)
+    nhat = mesh.frames.nhat
+    upper = np.where(mesh.face_centroids()[:, 2:] >= 0.0, nhat, 0.0)
+    h = mesh_stats(mesh).h
+    for points, bound in [
+        (_points_off_the_unit_sphere(), 1e-13),
+        # on the surface the moments about corner 0 cancel terms of relative
+        # size h/eps, as in the extended-precision kernel tests
+        (mesh.vertices, 32.0 * (1.0 + h / eps) * np.finfo(float).eps),
+    ]:
+        u = constant_evaluate_velocity(mesh, nhat, points, params)
+        scale = np.abs(constant_evaluate_velocity(mesh, upper, points, params)).max()
+        assert np.abs(u).max() <= bound * scale
 
 
 def test_constant_solve_and_conditioning():

@@ -6,10 +6,15 @@ from stokeslet_surfaces import (
     FloatingFloorError,
     fit_loglog_slope,
     run_study,
+    studies,
     write_field_csv,
     write_report_csv,
 )
-from stokeslet_surfaces.studies import CSV_HEADER, _triangle_quadrature_points
+from stokeslet_surfaces.studies import (
+    CSV_HEADER,
+    STUDY_IDS,
+    _triangle_quadrature_points,
+)
 from stokeslet_surfaces import triangle_frame
 
 from oracles import triangle_param_point
@@ -34,6 +39,22 @@ def test_fit_loglog_slope_excludes_plateau():
 def test_unknown_study_rejected():
     with pytest.raises(ValueError):
         run_study("no-such-study")
+
+
+@pytest.mark.parametrize("key", ["f_value", "kind", "report"])
+@pytest.mark.parametrize("study_id", STUDY_IDS)
+def test_unknown_setting_rejected_before_any_mesh_is_built(monkeypatch, study_id,
+                                                           key):
+    # a misspelt key, the paired studies' sphere kind and the report are not
+    # settings: each raises instead of running the default sweep
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    for make_mesh in ("make_icosphere", "make_spheroid_mesh", "make_box_mesh",
+                      "make_pipe_mesh"):
+        monkeypatch.setattr(studies, make_mesh, no_mesh)
+    with pytest.raises(ValueError, match=f"{study_id}.*{key}.*settings are .*mu"):
+        run_study(study_id, {key: [2]})
 
 
 def test_report_rejects_non_finite():
@@ -113,20 +134,30 @@ def test_forward_spheroid_polar_errors_dominate():
     assert graded_max < uni_max  # grading reduces the polar maximum
 
 
+def _surface_eps_by_faces(report):
+    by_faces = {}
+    for r in report.rows:
+        if r["metric"] == "surfaces_l2_error":
+            by_faces.setdefault(r["num_faces"], []).append(r["eps"])
+    return by_faces
+
+
 def test_mrs_comparison_default_eps_above_floor():
     # the floor is 1.05e-8 at f=2, so the default 1e-8 is left out there
-    coarse = run_study("mrs-comparison", {"f": 2, "mrs_eps_values": [5e-2]})
-    rows = [r for r in coarse.rows if r["metric"] == "surfaces_l2_error"]
-    assert [r["eps"] for r in rows] == [1e-4, 1e-6]
+    coarse = run_study("mrs-comparison", {"f_values": [2], "mrs_eps_values": [5e-2]})
+    assert _surface_eps_by_faces(coarse) == {80: [1e-4, 1e-6]}
     assert len(coarse.values("mrs_l2_error")) == 1
-    fine = run_study("mrs-comparison", {"f": 4, "mrs_eps_values": [5e-2]})
-    rows = [r for r in fine.rows if r["metric"] == "surfaces_l2_error"]
-    assert [r["eps"] for r in rows] == [1e-4, 1e-6, 1e-8]
+    fine = run_study("mrs-comparison", {"f_values": [4], "mrs_eps_values": [5e-2]})
+    assert _surface_eps_by_faces(fine) == {320: [1e-4, 1e-6, 1e-8]}
+    # one sweep filters the default list by each mesh's own floor
+    both = run_study("mrs-comparison", {"f_values": [2, 4], "mrs_eps_values": [5e-2]})
+    assert _surface_eps_by_faces(both) == {80: [1e-4, 1e-6], 320: [1e-4, 1e-6, 1e-8]}
+    assert len(both.values("mrs_l2_error")) == 2
 
 
 def test_mrs_comparison_explicit_eps_below_floor_raises():
     with pytest.raises(FloatingFloorError):
-        run_study("mrs-comparison", {"f": 2, "eps_values": [1e-4, 1e-8]})
+        run_study("mrs-comparison", {"f_values": [2], "eps_values": [1e-4, 1e-8]})
 
 
 def test_study_rows_reproducible():

@@ -9,6 +9,7 @@ vertex at the origin).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -57,6 +58,19 @@ def _vec3(text):
 
 
 _vec3.__name__ = "x,y,z point"  # argparse: "invalid x,y,z point value"
+
+
+# the study keyword each study flag sets (its dest): the flag, its type, help
+_STUDY_FLAGS = {
+    "f_values": ("--f", _list(int), "comma-separated subdivision frequencies"),
+    "eps_values": ("--eps", _list(float), "comma-separated regularizations"),
+    "mu": ("--mu", float, None),
+    "a": ("--a", float, None),
+    "b": ("--b", float, None),
+    "grading_values": ("--grading", _list(float), None),
+    "h_cube_values": ("--h-cube", _list(float), None),
+    "eps_over_h": ("--eps-over-h", _list(float), None),
+}
 
 
 def _parser():
@@ -113,16 +127,8 @@ def _parser():
                              argument_default=argparse.SUPPRESS)
     p_study.add_argument("--id", required=True, choices=studies.STUDY_IDS)
     p_study.add_argument("--out", default=None, help="write the report CSV")
-    p_study.add_argument("--f", dest="f_values", type=_list(int),
-                         help="comma-separated subdivision frequencies")
-    p_study.add_argument("--eps", dest="eps_values", type=_list(float),
-                         help="comma-separated regularizations")
-    p_study.add_argument("--mu", type=float)
-    p_study.add_argument("--a", type=float)
-    p_study.add_argument("--b", type=float)
-    p_study.add_argument("--grading", dest="grading_values", type=_list(float))
-    p_study.add_argument("--h-cube", dest="h_cube_values", type=_list(float))
-    p_study.add_argument("--eps-over-h", type=_list(float))
+    for dest, (flag, kind, text) in _STUDY_FLAGS.items():
+        p_study.add_argument(flag, dest=dest, type=kind, help=text)
     return parser
 
 
@@ -183,13 +189,18 @@ def _run_solve(config):
         print(f"drag = ({drag[0]:.6g}, {drag[1]:.6g}, {drag[2]:.6g}) "
               f"torque = ({torque[0]:.6g}, {torque[1]:.6g}, {torque[2]:.6g})")
     if config.out:
-        studies.write_field_csv(config.out, mesh.vertices, forces)
+        studies.write_field_csv(config.out, mesh.vertices, forces, name="f")
     return EXIT_OK
 
 
 def _run_study(config):
     params = {key: value for key, value in vars(config).items()
               if key not in ("command", "id", "out")}
+    settings = inspect.signature(studies._STUDIES[config.id]).parameters
+    if unknown := [_STUDY_FLAGS[key][0] for key in params if key not in settings]:
+        own = ", ".join(_STUDY_FLAGS[key][0] for key in settings if key in _STUDY_FLAGS)
+        raise ValueError(f"study {config.id!r} takes no {', '.join(unknown)}; "
+                         f"its flags are {own}")
     report = studies.run_study(config.id, params)
     for line in report.summary_lines():
         print(line)

@@ -37,6 +37,11 @@ def l2_error(errors) -> float:
     return float(np.sqrt(np.mean(errors**2)))
 
 
+def _check_radius(a) -> None:
+    if not (a > 0.0 and np.isfinite(a)):
+        raise ValueError(f"sphere radius a must be positive and finite, got {a!r}")
+
+
 def sphere_translation_reference(x, a: float, U, mu: float):
     """(traction, velocity) for a rigid sphere of radius a translating at U.
 
@@ -44,6 +49,7 @@ def sphere_translation_reference(x, a: float, U, mu: float):
     classical exterior solution, valid for |x| >= a (equal to U on the
     surface).
     """
+    _check_radius(a)
     x = np.asarray(x, dtype=float)
     U = np.asarray(U, dtype=float)
     traction = np.broadcast_to(3.0 * mu / (2.0 * a) * U, x.shape).copy()
@@ -60,6 +66,7 @@ def sphere_rotation_reference(x, a: float, Omega, mu: float):
     traction = (3 mu / a) Omega x X on the surface; velocity is the rotlet
     field a^3 (Omega x X) / r^3, equal to Omega x X on the surface.
     """
+    _check_radius(a)
     x = np.asarray(x, dtype=float)
     swirl = np.cross(np.asarray(Omega, dtype=float), x)
     r = np.linalg.norm(x, axis=-1, keepdims=True)

@@ -44,7 +44,7 @@ __all__ = [
 # Face-point pairs per kernel call. Chunks amortize the per-call overhead
 # over several faces; a bound this small keeps the (3, 3, 3, faces, points)
 # blocks and their temporaries small: the peak of traced memory of an f=4
-# sphere solve is 9.1 MB with 4096-pair chunks, 12.4 MB with 8192-pair ones.
+# sphere solve is 7.2 MB with 4096-pair chunks, 10.5 MB with 8192-pair ones.
 _CHUNK_PAIRS = 4096
 
 
@@ -235,30 +235,25 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
 
     The boundary condition at each vertex is
         u(y_i) = U + Omega x (y_i - c) + slip_i
-    augmented by zero net force and zero net torque about the body center
-    c = `center`, making the (3N + 6) system square.
+    closed by zero net force and zero net torque about the body center
+    c = `center`. With R the vertex velocities of the six unit rigid motions
+    m = (U, Omega), the forces are A^-1 slip + A^-1 R m, and m solves the
+    6 x 6 balance of the net-force and net-torque rows C of those forces.
     """
     n = mesh.num_vertices
     slip = _as_rows(slip, n, "slip")
     c = _as_center(center)
 
-    size = 3 * n + 6
-    A = np.zeros((size, size))
-    A[: 3 * n, : 3 * n] = assemble_resistance(mesh, params)
-    A[: 3 * n, 3 * n : 3 * n + 3] = np.tile(-np.eye(3), (n, 1))
-    A[: 3 * n, 3 * n + 3 :] = _skew(mesh.vertices - c).reshape(3 * n, 3)
+    rhs = np.column_stack([slip.reshape(-1), np.tile(np.eye(3), (n, 1)),
+                           -_skew(mesh.vertices - c).reshape(3 * n, 3)])
+    Y = _dense_solve(assemble_resistance(mesh, params), rhs)
     weights, blocks = _vertex_moments(mesh, c)
-    A[3 * n : 3 * n + 3, : 3 * n] = np.kron(weights, np.eye(3))
-    A[3 * n + 3 :, : 3 * n] = blocks.transpose(1, 0, 2).reshape(3, 3 * n)
-
-    b = np.zeros(size)
-    b[: 3 * n] = slip.reshape(-1)
-    x = _dense_solve(A, b)
-    return SwimmerSolution(
-        forces=x[: 3 * n].reshape(-1, 3),
-        U=x[3 * n : 3 * n + 3],
-        Omega=x[3 * n + 3 :],
-    )
+    C = np.vstack([np.kron(weights, np.eye(3)),
+                   blocks.transpose(1, 0, 2).reshape(3, 3 * n)])
+    CY = C @ Y
+    m = _dense_solve(CY[:, 1:], -CY[:, 0])
+    forces = Y[:, 0] + Y[:, 1:] @ m
+    return SwimmerSolution(forces=forces.reshape(-1, 3), U=m[:3], Omega=m[3:])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ A study's settings are the keyword arguments of its function (`f_values`,
 `eps_values`, `mu`, `a`, ...): their names and defaults are the one table of
 settings. `run_study` binds its `params` dict to them and rejects a key the
 study does not take; the CLI passes the flags it was given under the same
-names. Velocity field samples are exported separately as x,y,z,ux,uy,uz rows.
+names. Point samples go to separate x,y,z,ux,uy,uz or x,y,z,fx,fy,fz CSVs.
 """
 
 from __future__ import annotations
@@ -113,15 +113,10 @@ def write_report_csv(report: ExperimentReport, path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_field_csv(path, points, velocities) -> None:
-    points = np.asarray(points, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    lines = ["x,y,z,ux,uy,uz"]
-    for p, u in zip(points, velocities):
-        lines.append(
-            f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
-            f"{u[0]:.17g},{u[1]:.17g},{u[2]:.17g}"
-        )
+def write_field_csv(path, points, vectors, name: str = "u") -> None:
+    rows = np.hstack([np.asarray(points, dtype=float), np.asarray(vectors, dtype=float)])
+    lines = [f"x,y,z,{name}x,{name}y,{name}z"]
+    lines += [",".join(f"{value:.17g}" for value in row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -155,8 +150,8 @@ def _rigid_sphere(mesh, kind, a, mu):
     n = mesh.num_vertices
     if kind == "translate":
         U = np.array([1.0, 0.0, 0.0])
-        # the traction is constant: evaluate it at one surface point
-        traction = ref.sphere_translation_reference(a * U, a, U, mu)[0]
+        # the traction is the same at every point: evaluate it at one
+        traction = ref.sphere_translation_reference(U, a, U, mu)[0]
         return np.tile(traction, (n, 1)), np.tile(U, (n, 1))
     Om = np.array([0.0, 0.0, 1.0])
     # only the traction is used: the field velocity divides by |x|^3, which
@@ -331,12 +326,6 @@ def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
     return report
 
 
-def _gauss_rule_4():
-    # 4-point Gauss-Legendre nodes/weights on [0, 1]
-    x, w = np.polynomial.legendre.leggauss(4)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _triangle_quadrature_points(frame):
     """16-point product rule on each triangle of `frame`; returns (points,
     weights) of shapes (16 F, 3) and (16 F,), face by face.
@@ -345,7 +334,8 @@ def _triangle_quadrature_points(frame):
     (alpha, beta) = (u, u v) with Jacobian u; weights include the area
     factor BH.
     """
-    gu, wu = _gauss_rule_4()
+    x, w = np.polynomial.legendre.leggauss(4)
+    gu, wu = 0.5 * (x + 1.0), 0.5 * w  # 4-point Gauss-Legendre rule on [0, 1]
     alpha = np.repeat(gu, 4)[None, :, None]  # u, outer loop of the 16 nodes
     beta = (gu[:, None] * gu[None, :]).reshape(1, 16, 1)  # u v
     L1, L2 = frame.side_L[:, 0, None, None], frame.side_L[:, 1, None, None]

@@ -1,7 +1,9 @@
-"""Independent quadrature oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here integrates the defining expressions directly with adaptive
-quadrature; nothing reuses the closed forms under test.
+The quadrature oracles integrate the defining expressions directly with
+adaptive quadrature; they reuse none of the closed forms under test. The
+swimmer reference solves the augmented system that the bordered swimmer
+solve replaced.
 """
 
 import numpy as np
@@ -122,3 +124,29 @@ def random_triangle_case(rng, eps_range=(1e-2, 1.0), scale=1.0):
     lo, hi = np.log(eps_range[0]), np.log(eps_range[1])
     eps = float(np.exp(rng.uniform(lo, hi)))
     return frame, xf, forces, eps
+
+
+def augmented_swimmer_reference(mesh, slip, params, center):
+    """(forces, U, Omega) of the free swimmer from one (3N + 6) square system:
+    the resistance matrix A bordered by the rigid-motion columns,
+        A f - U + (y_i - c) x Omega = slip_i,
+    and by the net-force and net-torque rows about c = center, with a zero
+    right-hand side on those six rows. This is the construction the bordered
+    `solver.solve_swimmer` replaced; it shares A and the moment rows with it,
+    not the elimination."""
+    from stokeslet_surfaces.solver import _skew, _vertex_moments, assemble_resistance
+
+    n = mesh.num_vertices
+    c = np.asarray(center, dtype=float)
+    size = 3 * n + 6
+    A = np.zeros((size, size))
+    A[: 3 * n, : 3 * n] = assemble_resistance(mesh, params)
+    A[: 3 * n, 3 * n : 3 * n + 3] = np.tile(-np.eye(3), (n, 1))
+    A[: 3 * n, 3 * n + 3 :] = _skew(mesh.vertices - c).reshape(3 * n, 3)
+    weights, blocks = _vertex_moments(mesh, c)
+    A[3 * n : 3 * n + 3, : 3 * n] = np.kron(weights, np.eye(3))
+    A[3 * n + 3 :, : 3 * n] = blocks.transpose(1, 0, 2).reshape(3, 3 * n)
+    b = np.zeros(size)
+    b[: 3 * n] = np.asarray(slip, dtype=float).reshape(-1)
+    x = np.linalg.solve(A, b)
+    return x[: 3 * n].reshape(-1, 3), x[3 * n : 3 * n + 3], x[3 * n + 3 :]

@@ -79,7 +79,10 @@ def test_every_study_flag_sets_a_study_keyword():
 
 def test_study_flag_the_study_does_not_take_is_usage_error(capsys):
     assert main(["study", "--id", "squirmer", "--h-cube", "0.1"]) == EXIT_USAGE
-    assert "h_cube_values" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the flags as typed, not the study keywords they set
+    assert "--h-cube" in err and "h_cube_values" not in err
+    assert "--f, --eps, --a, --mu" in err
 
 
 def test_mesh_roundtrip(tmp_path, capsys):
@@ -129,6 +132,28 @@ def test_solve_squirmer_summary(capsys):
     assert out.startswith("squirmer U = ")
     uz = float(out.split("(")[1].split(")")[0].split(",")[2])
     assert uz == pytest.approx(1.0, abs=0.03)
+
+
+def test_field_csv_headers_name_their_vectors(tmp_path, capsys):
+    forces, field = tmp_path / "f.csv", tmp_path / "u.csv"
+    assert main(["solve", "--f", "2", "--out", str(forces)]) == EXIT_OK
+    assert main(["eval", "--f", "2", "--point", "3,0,0", "--out", str(field)]) == EXIT_OK
+    assert forces.read_text().split("\n")[0] == "x,y,z,fx,fy,fz"
+    assert field.read_text().split("\n")[0] == "x,y,z,ux,uy,uz"
+
+
+@pytest.mark.parametrize("a", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--shape", "box", "--point", "1,1,1"],
+    ["eval", "--shape", "box", "--traction", "rotate", "--point", "1,1,1"],
+    ["solve", "--shape", "box", "--problem", "drag"],
+    ["solve", "--shape", "box", "--problem", "torque"],
+], ids=["eval-translate", "eval-rotate", "solve-drag", "solve-torque"])
+def test_sphere_radius_that_is_not_positive_and_finite_is_usage_error(argv, a, capsys):
+    # with --shape box, --a is only the radius of the reference traction
+    assert main(argv + ["--grid-h", "0.25", "--a", a]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "radius" in captured.err and captured.out == ""
 
 
 def test_study_writes_report(tmp_path, capsys):

@@ -59,6 +59,14 @@ def test_sphere_rotation_magnitude():
     assert np.linalg.norm(traction) == pytest.approx(3.0 * sinphi, rel=1e-12)
 
 
+@pytest.mark.parametrize("reference", [sphere_translation_reference,
+                                       sphere_rotation_reference])
+@pytest.mark.parametrize("a", [0.0, -1.0, np.inf, np.nan])
+def test_sphere_radius_must_be_positive_and_finite(reference, a):
+    with pytest.raises(ValueError, match="radius"):
+        reference([1.0, 0.0, 0.0], a, [1.0, 0.0, 0.0], 1.0)
+
+
 def test_spheroid_torque_independent_evaluation():
     a, b, mu = 3.0, 1.0, 1.0
     e = np.sqrt(a**2 - b**2) / a

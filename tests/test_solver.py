@@ -13,6 +13,7 @@ from stokeslet_surfaces import (
     baseline_mrs_velocity,
     constant_assemble_resistance,
     constant_evaluate_velocity,
+    epsilon_floor,
     evaluate_velocity,
     make_box_mesh,
     make_icosphere,
@@ -31,6 +32,8 @@ from stokeslet_surfaces import (
 from stokeslet_surfaces import solver
 from stokeslet_surfaces.studies import B1
 from stokeslet_surfaces.solver import _own_face, _velocity_blocks, _vertex_moments
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +72,7 @@ def test_assemble_matches_evaluate(small_sphere):
 
 def test_system_size_f8():
     mesh = make_icosphere(8)
-    assert 3 * mesh.num_vertices == 1926  # +6 swimmer unknowns gives 1932
+    assert 3 * mesh.num_vertices == 1926
 
 
 @pytest.mark.parametrize("elements", ["linear", "constant"])
@@ -121,12 +124,16 @@ def _rotation(rng):
     return Q
 
 
+def _jittered(mesh, rng):
+    """The mesh rotated, its vertices jittered by up to 0.1 h; and h."""
+    h = mesh_stats(mesh).h
+    jitter = 0.1 * h * rng.uniform(-1, 1, mesh.vertices.shape)
+    return TriMesh((mesh.vertices + jitter) @ _rotation(rng).T, mesh.faces), h
+
+
 def _jittered_sphere(f, rng):
     """A rotated icosphere with its vertices jittered by up to 0.1 h, and h."""
-    sphere = make_icosphere(f)
-    h = mesh_stats(sphere).h
-    jitter = 0.1 * h * rng.uniform(-1, 1, sphere.vertices.shape)
-    return TriMesh((sphere.vertices + jitter) @ _rotation(rng).T, sphere.faces), h
+    return _jittered(make_icosphere(f), rng)
 
 
 @pytest.mark.parametrize("elements", ["linear", "constant"])
@@ -441,6 +448,53 @@ def test_swimmer_mirror_symmetry(small_sphere):
     assert np.allclose(down.U[:2], up.U[:2], atol=1e-10)
 
 
+def _swimmer_cases():
+    for f in (2, 3, 4):
+        mesh = make_icosphere(f)
+        yield pytest.param(mesh, _squirmer_slip_field(mesh), np.zeros(3),
+                           id=f"squirmer-f{f}")
+    # a random slip about a center off the origin and off the box's centroid
+    box = make_box_mesh((0.3, -0.2, 0.1), 0.25, 0.125)
+    slip = np.random.default_rng(5).normal(size=(box.num_vertices, 3))
+    yield pytest.param(box, slip, np.array([0.35, -0.15, 0.15]), id="box-random")
+
+
+@pytest.mark.parametrize("mesh, slip, center", list(_swimmer_cases()))
+def test_swimmer_matches_augmented_system(mesh, slip, center):
+    # the bordered solve (A^-1 on seven columns, then a 6 x 6 balance)
+    # against the one (3N + 6) system of the same equations
+    params = KernelParams(eps=1e-4)
+    sol = solve_swimmer(mesh, slip, params, center=center)
+    forces, U, Omega = oracles.augmented_swimmer_reference(mesh, slip, params, center)
+    speed = 2.0 / 3.0 * B1
+    assert np.abs(sol.U - U).max() <= 1e-12 * speed
+    assert np.abs(sol.Omega - Omega).max() <= 1e-12 * speed
+    assert np.abs(sol.forces - forces).max() <= 1e-12 * np.abs(forces).max()
+
+
+def test_swimmer_solves_the_resistance_matrix_and_a_6x6_balance(small_sphere,
+                                                                 monkeypatch):
+    assemblies, solves = [], []
+
+    def assemble(mesh, params):
+        assemblies.append(mesh)
+        return assemble_resistance(mesh, params)
+
+    dense_solve = solver._dense_solve
+
+    def recorded(A, b):
+        solves.append((np.shape(A), np.shape(b)))
+        return dense_solve(A, b)
+
+    monkeypatch.setattr(solver, "assemble_resistance", assemble)
+    monkeypatch.setattr(solver, "_dense_solve", recorded)
+    n = 3 * small_sphere.num_vertices
+    solve_swimmer(small_sphere, _squirmer_slip_field(small_sphere),
+                  KernelParams(eps=1e-3), center=np.zeros(3))
+    assert assemblies == [small_sphere]
+    assert solves == [((n, n), (n, 7)), ((6, 6), (6,))]
+
+
 def test_mrs_weights_sum_to_area(small_sphere):
     w, _ = _vertex_moments(small_sphere, np.zeros(3))
     total_area = (small_sphere.frames.BH / 2.0).sum()
@@ -486,38 +540,83 @@ def test_constant_forward_matches_linear_with_equal_forces(small_sphere):
     assert np.allclose(u_const, u_lin, rtol=1e-11, atol=1e-14)
 
 
-def _points_off_the_unit_sphere():
+def _points_off_the_unit_sphere(rng):
     """30 points with r < 0.3 and 30 with 1.5 < r < 3."""
-    rng = np.random.default_rng(0)
     dirs = rng.normal(size=(60, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radii = np.concatenate([rng.uniform(0.0, 0.3, 30), rng.uniform(1.5, 3.0, 30)])
     return dirs * radii[:, None]
 
 
-@pytest.mark.parametrize("mesh", [make_icosphere(2), make_icosphere(3),
-                                  make_box_mesh((0.0, 0.0, 0.0), 1.0, 0.5)],
-                         ids=["icosphere-2", "icosphere-3", "box"])
-@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
-def test_face_normals_are_a_null_vector_of_the_single_layer(mesh, eps):
+def _points_near_sides(mesh, h, rng):
+    """One point per face, on a random side, moved 1e-12 h .. 1e-1 h from it
+    in a random direction."""
+    faces = np.arange(mesh.num_faces)
+    corner = rng.integers(0, 3, mesh.num_faces)
+    corners = mesh.vertices[mesh.faces]
+    a, b = corners[faces, corner], corners[faces, (corner + 1) % 3]
+    dirs = rng.normal(size=(mesh.num_faces, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dist = h * 10.0 ** rng.uniform(-12.0, -1.0, (mesh.num_faces, 1))
+    return a + rng.uniform(0.0, 1.0, (mesh.num_faces, 1)) * (b - a) + dist * dirs
+
+
+_NULL_VECTOR_MESHES = {
+    "icosphere-2": lambda: make_icosphere(2),
+    "icosphere-3": lambda: make_icosphere(3),
+    "box": lambda: make_box_mesh((0.0, 0.0, 0.0), 1.0, 0.5),
+}
+
+
+def _check_null_vector(shape, jitter, seed, eps):
     # the regularized Stokeslet is divergence-free, so by the divergence
     # theorem the closed surface integral of S(x - y) n(y) vanishes at every
     # x, for any eps and any closed mesh of flat faces: an exact oracle of
     # the constant-element moments on whole meshes (T[0,0,3] cancels out of
     # normal forces, so it checks the contour terms and the q = 3 moments)
-    params = KernelParams(eps=eps)
+    rng = np.random.default_rng(seed)
+    off = _points_off_the_unit_sphere(rng)
+    mesh = _NULL_VECTOR_MESHES[shape]()
+    if jitter:
+        mesh, h = _jittered(mesh, rng)
+    else:
+        h = mesh_stats(mesh).h
+    # an eps below the floor is taken just above it
+    params = KernelParams(eps=max(eps, 1.01 * epsilon_floor(mesh)))
     nhat = mesh.frames.nhat
     upper = np.where(mesh.face_centroids()[:, 2:] >= 0.0, nhat, 0.0)
-    h = mesh_stats(mesh).h
+    dirs = rng.normal(size=(20, 3))
+    # far from a face the closed forms lose about (r/h)^2 ulps (1e-9 of the
+    # hemisphere at r = 1000), so "far" stops at six radii
+    far = dirs / np.linalg.norm(dirs, axis=1)[:, None] * rng.uniform(3.0, 6.0, (20, 1))
+    # on the surface the moments about corner 0 cancel terms of relative
+    # size h/eps, as in the extended-precision kernel tests
+    on = 32.0 * (1.0 + h / params.eps) * np.finfo(float).eps
     for points, bound in [
-        (_points_off_the_unit_sphere(), 1e-13),
-        # on the surface the moments about corner 0 cancel terms of relative
-        # size h/eps, as in the extended-precision kernel tests
-        (mesh.vertices, 32.0 * (1.0 + h / eps) * np.finfo(float).eps),
+        (off, 1e-13),
+        (far, 1e-13),
+        (mesh.vertices, on),
+        (mesh.face_centroids(), on),
+        (_points_near_sides(mesh, h, rng), on),
     ]:
         u = constant_evaluate_velocity(mesh, nhat, points, params)
         scale = np.abs(constant_evaluate_velocity(mesh, upper, points, params)).max()
         assert np.abs(u).max() <= bound * scale
+
+
+@pytest.mark.parametrize("shape", list(_NULL_VECTOR_MESHES))
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+def test_face_normals_are_a_null_vector_of_the_single_layer(shape, eps):
+    # the fixed examples of the property below: the meshes as generated
+    _check_null_vector(shape, False, 0, eps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(list(_NULL_VECTOR_MESHES)), jitter=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), log_eps=st.floats(-9.0, 0.0))
+def test_face_normals_are_a_null_vector_on_random_meshes(shape, jitter, seed,
+                                                         log_eps):
+    _check_null_vector(shape, jitter, seed, 10.0**log_eps)
 
 
 def test_constant_solve_and_conditioning():

@@ -9,7 +9,6 @@ vertex at the origin).
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
 import numpy as np
@@ -122,7 +121,7 @@ def _parser():
 
     # each flag's dest is the study keyword it sets; a flag left out sets
     # nothing, so the study's own default applies, and a flag the study takes
-    # no keyword for is rejected by run_study (exit 2)
+    # no keyword for is rejected by _run_study, named as typed (exit 2)
     p_study = sub.add_parser("study", help="run a validation study",
                              argument_default=argparse.SUPPRESS)
     p_study.add_argument("--id", required=True, choices=studies.STUDY_IDS)
@@ -196,7 +195,7 @@ def _run_solve(config):
 def _run_study(config):
     params = {key: value for key, value in vars(config).items()
               if key not in ("command", "id", "out")}
-    settings = inspect.signature(studies._STUDIES[config.id]).parameters
+    settings = studies._settings(config.id)
     if unknown := [_STUDY_FLAGS[key][0] for key in params if key not in settings]:
         own = ", ".join(_STUDY_FLAGS[key][0] for key in settings if key in _STUDY_FLAGS)
         raise ValueError(f"study {config.id!r} takes no {', '.join(unknown)}; "

@@ -19,7 +19,11 @@ class DegenerateTriangleError(StokesletSurfacesError):
 
 
 class SingularSystemError(StokesletSurfacesError):
-    """Dense solve failed or produced non-finite entries."""
+    """Dense solve failed or produced an unusable residual."""
+
+    def __init__(self, message, condition_estimate=None):
+        super().__init__(message)
+        self.condition_estimate = condition_estimate
 
 
 class MeshFormatError(StokesletSurfacesError):

@@ -38,7 +38,7 @@ def l2_error(errors) -> float:
 
 
 def _check_radius(a) -> None:
-    if not (a > 0.0 and np.isfinite(a)):
+    if not 0.0 < a < np.inf:  # also False for NaN
         raise ValueError(f"sphere radius a must be positive and finite, got {a!r}")
 
 

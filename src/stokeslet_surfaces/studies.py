@@ -8,8 +8,8 @@ whose rows serialize to CSV with the fixed header
 
 A study's settings are the keyword arguments of its function (`f_values`,
 `eps_values`, `mu`, `a`, ...): their names and defaults are the one table of
-settings. `run_study` binds its `params` dict to them and rejects a key the
-study does not take; the CLI passes the flags it was given under the same
+settings. `run_study` checks its `params` dict against them and rejects a key
+the study does not take; the CLI passes the flags it was given under the same
 names. Point samples go to separate x,y,z,ux,uy,uz or x,y,z,fx,fy,fz CSVs.
 """
 
@@ -326,6 +326,12 @@ def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
     return report
 
 
+def _gauss_rule_4():
+    # 4-point Gauss-Legendre nodes/weights on [0, 1]
+    x, w = np.polynomial.legendre.leggauss(4)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def _triangle_quadrature_points(frame):
     """16-point product rule on each triangle of `frame`; returns (points,
     weights) of shapes (16 F, 3) and (16 F,), face by face.
@@ -334,8 +340,7 @@ def _triangle_quadrature_points(frame):
     (alpha, beta) = (u, u v) with Jacobian u; weights include the area
     factor BH.
     """
-    x, w = np.polynomial.legendre.leggauss(4)
-    gu, wu = 0.5 * (x + 1.0), 0.5 * w  # 4-point Gauss-Legendre rule on [0, 1]
+    gu, wu = _gauss_rule_4()
     alpha = np.repeat(gu, 4)[None, :, None]  # u, outer loop of the 16 nodes
     beta = (gu[:, None] * gu[None, :]).reshape(1, 16, 1)  # u v
     L1, L2 = frame.side_L[:, 0, None, None], frame.side_L[:, 1, None, None]
@@ -411,18 +416,21 @@ _STUDIES = {
 STUDY_IDS = tuple(_STUDIES)
 
 
+def _settings(study_id: str) -> tuple:
+    """The settings of a study: the keyword-only arguments of its function."""
+    if study_id not in _STUDIES:
+        raise ValueError(f"unknown study {study_id!r}; choose from {STUDY_IDS}")
+    parameters = inspect.signature(_STUDIES[study_id]).parameters.values()
+    return tuple(p.name for p in parameters if p.kind is p.KEYWORD_ONLY)
+
+
 def run_study(study_id: str, params: dict | None = None) -> ExperimentReport:
     """Run one named validation study with the settings in `params` and return
     its report. A key the study takes no keyword argument for raises
     ValueError before any work is done."""
-    if study_id not in _STUDIES:
-        raise ValueError(f"unknown study {study_id!r}; choose from {STUDY_IDS}")
-    study = _STUDIES[study_id]
-    signature = inspect.signature(study)
-    try:
-        bound = signature.bind(ExperimentReport(study_id), **dict(params or {}))
-    except TypeError as exc:
-        settings = ", ".join(list(signature.parameters)[1:])  # all but report
-        raise ValueError(f"study {study_id!r}: {exc}; its settings are "
-                         f"{settings}") from None
-    return study(*bound.args, **bound.kwargs)
+    settings = _settings(study_id)
+    params = dict(params or {})
+    if unknown := [key for key in params if key not in settings]:
+        raise ValueError(f"study {study_id!r} takes no {', '.join(unknown)}; "
+                         f"its settings are {', '.join(settings)}")
+    return _STUDIES[study_id](ExperimentReport(study_id), **params)

@@ -1,5 +1,4 @@
 import argparse
-import inspect
 
 import numpy as np
 import pytest
@@ -71,9 +70,8 @@ def test_every_study_flag_sets_a_study_keyword():
     subparsers = next(action for action in _parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     dests = {action.dest for action in subparsers.choices["study"]._actions}
-    keywords = {name for study in studies._STUDIES.values()
-                for name, p in inspect.signature(study).parameters.items()
-                if p.kind is p.KEYWORD_ONLY}
+    keywords = {name for study_id in studies.STUDY_IDS
+                for name in studies._settings(study_id)}
     assert sorted(dests - {"help", "id", "out"} - keywords) == []
 
 

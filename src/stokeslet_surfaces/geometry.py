@@ -1,13 +1,15 @@
 """Triangle meshes and their per-triangle geometric frames.
 
-Meshes are indexed triangle surfaces. A mesh caches one struct-of-arrays
-frame of its faces with the quantities the analytic kernel needs: each
-side's length, unit direction and in-plane outward normal, twice the
-triangle area BH, and the unit normal nhat.
+Meshes are indexed triangle surfaces. A mesh builds, when it is constructed,
+one struct-of-arrays frame of its faces with the quantities the analytic
+kernel needs: each side's length, unit direction and in-plane outward
+normal, twice the triangle area BH, and the unit normal nhat. A mesh whose
+indices or triangles are invalid is rejected then, never later.
 
-Closed surfaces (sphere, spheroid, box) are oriented counter-clockwise seen
-from outside, so nhat points into the surrounding fluid. Pipe walls are the
-exception: their normals point into the interior, where the fluid lives.
+The generators wind each face as they build it. Closed surfaces (sphere,
+spheroid, box) are counter-clockwise seen from outside, so nhat points into
+the surrounding fluid. Pipe walls are the exception: their normals point
+into the interior, where the fluid lives.
 """
 
 from __future__ import annotations
@@ -103,12 +105,14 @@ class MeshStats:
 
 
 class TriMesh:
-    """Immutable indexed triangle surface with cached face frames.
+    """Immutable indexed triangle surface with its face frames.
 
     Construction, also by `transformed` and `merged_with`, raises
     MeshFormatError for a mesh without faces, a non-finite vertex, a face
     index out of range, a face repeating a vertex, or two vertices within
-    1e-12 of the bounding-box diagonal (merged surfaces sharing a vertex).
+    1e-12 of the bounding-box diagonal (merged surfaces sharing a vertex),
+    and DegenerateTriangleError for a face with a zero-length side or
+    (near-)collinear corners. It then builds the frames of all faces.
     """
 
     def __init__(self, vertices, faces):
@@ -119,7 +123,8 @@ class TriMesh:
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshFormatError("faces must be an (F, 3) array")
         self._validate()
-        self._frames: TriangleFrame | None = None
+        v = self.vertices[self.faces]
+        self._frames = triangle_frame(v[:, 0], v[:, 1], v[:, 2])
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
 
@@ -151,9 +156,6 @@ class TriMesh:
     @property
     def frames(self) -> TriangleFrame:
         """Frames of all faces, row p for face p."""
-        if self._frames is None:
-            v = self.vertices[self.faces]
-            self._frames = triangle_frame(v[:, 0], v[:, 1], v[:, 2])
         return self._frames
 
     def face_centroids(self) -> np.ndarray:
@@ -185,6 +187,13 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
     )
 
 
+def _require_positive(**sizes):
+    """Raise ValueError naming the first size that is not positive and finite."""
+    for name, value in sizes.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # icosphere
 
@@ -212,17 +221,6 @@ def _icosahedron():
     return verts, faces
 
 
-def _orient(vertices, faces, direction):
-    """Flip the faces whose normal points against direction(centroids), a
-    function of the (F, 3) face centroids."""
-    v = vertices[faces]
-    normals = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    flip = np.einsum("ij,ij->i", normals, direction(v.mean(axis=1))) < 0
-    faces = faces.copy()
-    faces[flip] = faces[flip][:, [0, 2, 1]]
-    return faces
-
-
 def make_icosphere(f: int, radius: float = 1.0) -> TriMesh:
     """Subdivided-icosahedron sphere mesh with 20*f**2 faces.
 
@@ -233,8 +231,7 @@ def make_icosphere(f: int, radius: float = 1.0) -> TriMesh:
     """
     if f < 1:
         raise ValueError("subdivision factor f must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _require_positive(radius=radius)
     base_v, base_f = _icosahedron()
 
     verts: list[np.ndarray] = []
@@ -262,10 +259,9 @@ def make_icosphere(f: int, radius: float = 1.0) -> TriMesh:
                 faces.append((grid[i][j], grid[i + 1][j], grid[i + 1][j + 1]))
                 if j < i:
                     faces.append((grid[i][j], grid[i + 1][j + 1], grid[i][j + 1]))
-    vertices = np.array(verts)
-    # normals away from the origin, the sphere's center
-    faces = _orient(vertices, np.array(faces, dtype=np.int64), lambda c: c)
-    return TriMesh(vertices, faces)
+    # each sub-triangle winds as its icosahedron face does, counter-clockwise
+    # seen from outside: normals point away from the center
+    return TriMesh(np.array(verts), faces)
 
 
 def make_spheroid_mesh(f: int, a: float, b: float, grading: float = 0.0) -> TriMesh:
@@ -277,10 +273,11 @@ def make_spheroid_mesh(f: int, a: float, b: float, grading: float = 0.0) -> TriM
     stand-in for a true graded mesh generator; it reproduces the qualitative
     pole refinement, not any particular published mesh.
     """
-    if b <= 0 or a < b:
+    _require_positive(a=a, b=b)
+    if a < b:
         raise ValueError("spheroid requires a >= b > 0")
-    if grading < 0:
-        raise ValueError("grading must be >= 0")
+    if not 0 <= grading < math.inf:
+        raise ValueError(f"grading must be finite and >= 0, got {grading}")
     sphere = make_icosphere(f, 1.0)
     if grading == 0.0:
         verts = sphere.vertices * np.array([b, b, a])
@@ -298,8 +295,8 @@ def make_spheroid_mesh(f: int, a: float, b: float, grading: float = 0.0) -> TriM
                 a * np.cos(theta),
             ]
         )
-    faces = _orient(verts, sphere.faces, lambda c: c)
-    return TriMesh(verts, faces)
+    # positive scaling and the monotone remap keep the outward winding
+    return TriMesh(verts, sphere.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +338,18 @@ def _lattice_walls(position, walls):
 
 def make_box_mesh(center, half_side: float, grid_h: float) -> TriMesh:
     """Closed cube of half-side `half_side`, each face an n x n right-triangle grid."""
-    if half_side <= 0 or grid_h <= 0:
-        raise ValueError("half_side and grid_h must be positive")
+    _require_positive(half_side=half_side, grid_h=grid_h)
     if grid_h > 2 * half_side:
         raise ValueError("grid_h must not exceed the side length")
     center = np.asarray(center, dtype=float)
     n = max(1, round(2 * half_side / grid_h))
     step = 2 * half_side / n
-    # each cube face: fixed axis at -/+ half_side, grid over the other two
+    # each cube face: fixed axis at -/+ half_side, grid over the other two;
+    # normals point out of the box (u x v is +axis, flipped on the low side)
     walls = [(axis, side, (axis + 1) % 3, n, (axis + 2) % 3, n, side == 0)
              for axis in range(3) for side in (0, n)]
-    vertices, faces = _lattice_walls(
-        lambda lat: center + np.array(lat) * step - half_side, walls)
-    faces = _orient(vertices, faces, lambda c: c - center)
-    return TriMesh(vertices, faces)
+    return TriMesh(*_lattice_walls(
+        lambda lat: center + np.array(lat) * step - half_side, walls))
 
 
 def make_pipe_mesh(L: float, a: float, b: float, grid_h: float) -> TriMesh:
@@ -362,20 +357,17 @@ def make_pipe_mesh(L: float, a: float, b: float, grid_h: float) -> TriMesh:
 
     Wall normals point into the pipe interior, where the fluid is.
     """
-    if L <= 0 or a <= 0 or b <= 0 or grid_h <= 0:
-        raise ValueError("all pipe dimensions must be positive")
+    _require_positive(L=L, a=a, b=b, grid_h=grid_h)
     nx = max(1, round(2 * L / grid_h))
     ny = max(1, round(2 * a / grid_h))
     nz = max(1, round(2 * b / grid_h))
     dx, dy, dz = 2 * L / nx, 2 * a / ny, 2 * b / nz
-    # walls y = -a, y = +a (grid over x, z); walls z = -b, z = +b (over x, y)
+    # walls y = -a, y = +a (grid over x, z); walls z = -b, z = +b (over x, y);
+    # normals point into the pipe (u x v is -y and +z, flipped on y = -a, z = +b)
     walls = [(1, 0, 0, nx, 2, nz, True), (1, ny, 0, nx, 2, nz, False),
              (2, 0, 0, nx, 1, ny, False), (2, nz, 0, nx, 1, ny, True)]
-    vertices, faces = _lattice_walls(
-        lambda lat: (-L + lat[0] * dx, -a + lat[1] * dy, -b + lat[2] * dz), walls)
-    # normals toward the centerline, into the fluid
-    faces = _orient(vertices, faces, lambda c: -c * np.array([0.0, 1.0, 1.0]))
-    return TriMesh(vertices, faces)
+    return TriMesh(*_lattice_walls(
+        lambda lat: (-L + lat[0] * dx, -a + lat[1] * dy, -b + lat[2] * dz), walls))
 
 
 # ---------------------------------------------------------------------------

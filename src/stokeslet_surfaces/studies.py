@@ -366,15 +366,14 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
         bc = np.zeros((mesh.num_vertices, 3))
         bc[:cube.num_vertices] = -u_duct(cube.vertices)
         key = (cube.num_faces, 3 * mesh.num_vertices, mesh_stats(cube).h)
-        # the cube's front (x < 0) and back (x > 0) faces: their outward
-        # normal, quadrature points and weights, and duct flow at the points
+        # the cube's front (x < 0) and back (x > 0) faces, the only ones whose
+        # outward normal is -x or +x: that normal, quadrature points and
+        # weights, and duct flow at the points
         frames = cube.frames
-        centroid_x = cube.face_centroids()[:, 0]
         sides = []
         for sign in (-1.0, 1.0):
             nhat = np.array([sign, 0.0, 0.0])
-            on_side = ((np.abs(frames.nhat @ nhat - 1.0) <= 1e-12)
-                       & (np.abs(centroid_x - sign * CUBE_HALF_SIDE) <= 1e-9))
+            on_side = np.abs(frames.nhat @ nhat - 1.0) <= 1e-12
             qpts, qwts = _triangle_quadrature_points(frames.select(on_side))
             sides.append((nhat, qpts, qwts, u_duct(qpts)))
         for ratio in eps_over_h:

@@ -154,6 +154,25 @@ def test_sphere_radius_that_is_not_positive_and_finite_is_usage_error(argv, a, c
     assert "radius" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--shape", "box", "--half-side", "inf"],
+    ["--shape", "pipe", "--length", "inf"],
+    ["--shape", "pipe", "--grid-h", "inf"],
+    ["--f", "2", "--a", "nan"],
+    ["--f", "2", "--a", "inf"],
+    ["--shape", "spheroid", "--a", "nan"],
+    ["--shape", "spheroid", "--a", "2", "--grading", "nan"],
+], ids=["box-half-side-inf", "pipe-length-inf", "pipe-grid-h-inf", "icosphere-a-nan",
+        "icosphere-a-inf", "spheroid-a-nan", "spheroid-grading-nan"])
+def test_mesh_size_that_is_not_finite_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "m.mesh"
+    assert main(["mesh", "--out", str(out)] + argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_study_writes_report(tmp_path, capsys):
     out = tmp_path / "drag.csv"
     code = main(["study", "--id", "resistance-drag", "--f", "2,3",
@@ -172,8 +191,9 @@ def test_study_mesh_file_not_needed_for_eval_from_file(tmp_path):
 
 
 def test_degenerate_mesh_file_is_mesh_error(tmp_path, capsys):
+    # written as text: a TriMesh with a collinear face cannot be built
     mesh_path = tmp_path / "collinear.mesh"
-    write_mesh(TriMesh([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]], [[0, 1, 2]]), mesh_path)
+    mesh_path.write_text("3 1\n0 0 0\n1 0 0\n2 0 0\n0 1 2\n")
     assert main(["eval", "--mesh-file", str(mesh_path), "--point", "5,0,0"]) == EXIT_IO
     assert "collinear" in capsys.readouterr().err
 

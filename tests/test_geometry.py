@@ -35,11 +35,22 @@ def test_icosphere_on_unit_sphere():
     assert np.allclose(r, 2.5, atol=1e-12)
 
 
-def test_icosphere_oriented_outward():
-    mesh = make_icosphere(3)
-    fr = mesh.frames
+@pytest.mark.parametrize("center,maker", [
+    ((0, 0, 0), lambda: make_icosphere(1)),
+    ((0, 0, 0), lambda: make_icosphere(3)),
+    ((0, 0, 0), lambda: make_icosphere(5)),
+    ((0, 0, 0), lambda: make_spheroid_mesh(4, 3.0, 1.0, grading=0.0)),
+    ((0, 0, 0), lambda: make_spheroid_mesh(4, 3.0, 1.0, grading=1.0)),
+    ((0, 0, 0), lambda: make_spheroid_mesh(4, 3.0, 1.0, grading=3.0)),
+    ((0, 0, 0), lambda: make_box_mesh((0, 0, 0), 0.25, 0.1)),
+    ((0.3, -1, 2), lambda: make_box_mesh((0.3, -1, 2), 0.5, 0.25)),
+], ids=["icosphere-f1", "icosphere-f3", "icosphere-f5", "spheroid-grading0",
+        "spheroid-grading1", "spheroid-grading3", "box-origin", "box-off-origin"])
+def test_closed_mesh_normals_point_away_from_center(center, maker):
+    # the generators wind every face as they build it; nothing flips it later
+    fr = maker().frames
     centroid = (fr.y0 + fr.y1 + fr.y2) / 3.0
-    assert np.all(np.einsum("ij,ij->i", fr.nhat, centroid) > 0)
+    assert np.all(np.einsum("ij,ij->i", fr.nhat, centroid - center) > 0)
 
 
 @pytest.mark.parametrize("maker", [
@@ -74,6 +85,36 @@ def test_triangle_frame_mapping():
 def test_degenerate_triangle_rejected():
     with pytest.raises(DegenerateTriangleError):
         triangle_frame([0, 0, 0], [1, 0, 0], [2, 0, 0])
+
+
+def test_mesh_with_a_collinear_face_rejected_when_built():
+    verts = [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [0, 1.0, 0]]
+    with pytest.raises(DegenerateTriangleError, match="collinear"):
+        TriMesh(verts, [[0, 1, 3], [0, 1, 2]])
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("name,make", [
+    ("radius", lambda x: make_icosphere(2, radius=x)),
+    ("a", lambda x: make_spheroid_mesh(2, x, 1.0)),
+    ("b", lambda x: make_spheroid_mesh(2, 3.0, x)),
+    ("half_side", lambda x: make_box_mesh((0, 0, 0), x, 0.1)),
+    ("grid_h", lambda x: make_box_mesh((0, 0, 0), 0.25, x)),
+    ("L", lambda x: make_pipe_mesh(x, 1.0, 1.0, 0.5)),
+    ("a", lambda x: make_pipe_mesh(1.0, x, 1.0, 0.5)),
+    ("b", lambda x: make_pipe_mesh(1.0, 1.0, x, 0.5)),
+    ("grid_h", lambda x: make_pipe_mesh(1.0, 1.0, 1.0, x)),
+], ids=["icosphere-radius", "spheroid-a", "spheroid-b", "box-half_side",
+        "box-grid_h", "pipe-L", "pipe-a", "pipe-b", "pipe-grid_h"])
+def test_generator_size_that_is_not_positive_and_finite_rejected(name, make, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("grading", [-0.5, np.inf, np.nan])
+def test_spheroid_grading_that_is_not_finite_and_nonnegative_rejected(grading):
+    with pytest.raises(ValueError, match="grading"):
+        make_spheroid_mesh(2, 3.0, 1.0, grading=grading)
 
 
 def test_mesh_validation_rejects_bad_faces():

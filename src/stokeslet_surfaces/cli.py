@@ -9,6 +9,7 @@ vertex at the origin).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -210,6 +211,9 @@ def _run_study(config):
 
 
 def run(config) -> int:
+    # a missing output directory fails before the work, naming the given path
+    if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise FileNotFoundError(f"no directory for the output file {config.out}")
     if config.command == "mesh":
         return _run_mesh(config)
     if config.command == "eval":

@@ -108,20 +108,21 @@ class TriMesh:
     """Immutable indexed triangle surface with its face frames.
 
     Construction, also by `transformed` and `merged_with`, raises
-    MeshFormatError for a mesh without faces, a non-finite vertex, a face
-    index out of range, a face repeating a vertex, or two vertices within
-    1e-12 of the bounding-box diagonal (merged surfaces sharing a vertex),
-    and DegenerateTriangleError for a face with a zero-length side or
-    (near-)collinear corners. It then builds the frames of all faces.
+    MeshFormatError for a mesh without faces, non-integer face indices, a
+    non-finite vertex, a face index out of range, a face repeating a vertex, or
+    two vertices within 1e-12 of the bounding-box diagonal (merged surfaces
+    sharing a vertex), and DegenerateTriangleError for a face with a zero-length
+    side or (near-)collinear corners. It then builds the frames of all faces.
     """
 
     def __init__(self, vertices, faces):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.faces = np.ascontiguousarray(faces, dtype=np.int64)
+        faces = np.asarray(faces)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshFormatError("vertices must be an (N, 3) array")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise MeshFormatError("faces must be an (F, 3) array")
+        if faces.ndim != 2 or faces.shape[1] != 3 or faces.dtype.kind not in "iu":
+            raise MeshFormatError("faces must be an (F, 3) array of integers")
+        self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         self._validate()
         v = self.vertices[self.faces]
         self._frames = triangle_frame(v[:, 0], v[:, 1], v[:, 2])

@@ -32,13 +32,12 @@ floor check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FloatingFloorError
-from .geometry import TriangleFrame, TriMesh, _row_dot
+from .geometry import TriangleFrame, TriMesh, _require_positive, _row_dot
 
 __all__ = [
     "KernelParams",
@@ -57,10 +56,7 @@ class KernelParams:
     mu: float = 1.0
 
     def __post_init__(self):
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise ValueError("eps must be positive and finite")
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise ValueError("mu must be positive and finite")
+        _require_positive(eps=self.eps, mu=self.mu)
 
     def validate_for_mesh(self, mesh: TriMesh) -> None:
         _check_floor(self.eps, epsilon_floor(mesh))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _require_positive
+
 # Indices of the 50 terms of the duct series (truncation about 5e-7 at walls).
 _DUCT_N = np.arange(1, 51)
 
@@ -37,11 +39,6 @@ def l2_error(errors) -> float:
     return float(np.sqrt(np.mean(errors**2)))
 
 
-def _check_radius(a) -> None:
-    if not 0.0 < a < np.inf:  # also False for NaN
-        raise ValueError(f"sphere radius a must be positive and finite, got {a!r}")
-
-
 def sphere_translation_reference(x, a: float, U, mu: float):
     """(traction, velocity) for a rigid sphere of radius a translating at U.
 
@@ -49,7 +46,7 @@ def sphere_translation_reference(x, a: float, U, mu: float):
     classical exterior solution, valid for |x| >= a (equal to U on the
     surface).
     """
-    _check_radius(a)
+    _require_positive(radius=a)
     x = np.asarray(x, dtype=float)
     U = np.asarray(U, dtype=float)
     traction = np.broadcast_to(3.0 * mu / (2.0 * a) * U, x.shape).copy()
@@ -66,7 +63,7 @@ def sphere_rotation_reference(x, a: float, Omega, mu: float):
     traction = (3 mu / a) Omega x X on the surface; velocity is the rotlet
     field a^3 (Omega x X) / r^3, equal to Omega x X on the surface.
     """
-    _check_radius(a)
+    _require_positive(radius=a)
     x = np.asarray(x, dtype=float)
     swirl = np.cross(np.asarray(Omega, dtype=float), x)
     r = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -113,7 +110,9 @@ def squirmer_slip(theta, phi, B1: float) -> np.ndarray:
 
 def pipe_reference(y, z, a: float, b: float, dP: float, mu: float):
     """Axial velocity of pressure-driven flow in a rectangular duct
-    |y| <= a, |z| <= b, as a cosh/cos series truncated at 50 terms."""
+    |y| <= a, |z| <= b, as a cosh/cos series truncated at 50 terms. a, b and
+    mu must be positive and finite."""
+    _require_positive(a=a, b=b, mu=mu)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     alpha = (_DUCT_N - 0.5) * np.pi
@@ -130,7 +129,9 @@ def pipe_reference(y, z, a: float, b: float, dP: float, mu: float):
 
 
 def flux_without_cube(s: float, a: float, b: float, dP: float, mu: float) -> float:
-    """Flux of the unobstructed duct flow through the square |y|,|z| <= s."""
+    """Flux of the unobstructed duct flow through the square |y|,|z| <= s; a,
+    b and mu must be positive and finite."""
+    _require_positive(a=a, b=b, mu=mu)
     alpha = (_DUCT_N - 0.5) * np.pi
     series = np.sum(
         (-1.0) ** _DUCT_N

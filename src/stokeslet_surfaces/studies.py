@@ -1,8 +1,8 @@
 """Runnable validation studies producing machine-readable reports.
 
-Each study sweeps a mesh-refinement/regularization grid, computes the
-metrics against the closed-form references, and returns an ExperimentReport
-whose rows serialize to CSV with the fixed header
+Each study sweeps a mesh-refinement/regularization grid and adds the metrics
+against the closed-form references to the ExperimentReport that `run_study`
+returns. Its rows serialize to CSV with the fixed header
 
     experiment,num_faces,dof,h,eps,metric,value
 
@@ -10,7 +10,8 @@ A study's settings are the keyword arguments of its function (`f_values`,
 `eps_values`, `mu`, `a`, ...): their names and defaults are the one table of
 settings. `run_study` checks its `params` dict against them and rejects a key
 the study does not take; the CLI passes the flags it was given under the same
-names. Point samples go to separate x,y,z,ux,uy,uz or x,y,z,fx,fy,fz CSVs.
+names. `_sweep` checks every eps and mu of a grid before its first mesh is
+built. Point samples go to separate x,y,z,ux,uy,uz or x,y,z,fx,fy,fz CSVs.
 """
 
 from __future__ import annotations
@@ -188,23 +189,33 @@ def _row_key(mesh):
 
 
 def _spheres(a, f_values):
-    """(f, icosphere of radius a and subdivision f, its row key) for each f."""
+    """(f, icosphere of radius a and subdivision f) for each f."""
     for f in f_values:
-        mesh = make_icosphere(f, radius=a)
-        yield f, mesh, _row_key(mesh)
+        yield f, make_icosphere(f, radius=a)
+
+
+def _sweep(meshes, eps_values, mu):
+    """(label, mesh, row key, kernel parameters) of each grid point, eps
+    fastest. Every eps and mu is checked before the first mesh is built."""
+    params = [KernelParams(eps=eps, mu=mu) for eps in eps_values]
+    for label, mesh in meshes:
+        key = _row_key(mesh)
+        for kp in params:
+            yield label, mesh, key, kp
+
+
+def _vertex_error(u, target):
+    """RMS over the vertices of the velocity error |u - target|."""
+    return ref.l2_error(np.linalg.norm(u - target, axis=1))
 
 
 def _forward_sphere(kind, report, *, f_values=range(2, 9), eps_values=(1e-4,),
                     a=1.0, mu=1.0):
-    for _, mesh, key in _spheres(a, f_values):
+    for _, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
         tractions, target = _rigid_sphere(mesh, kind, a, mu)
-        for eps in eps_values:
-            kp = KernelParams(eps=eps, mu=mu)
-            u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
-            err = ref.l2_error(np.linalg.norm(u - target, axis=1))
-            report.add(*key, eps, "l2_error", err)
+        u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
+        report.add(*key, kp.eps, "l2_error", _vertex_error(u, target))
     _add_slope(report, "l2_error")
-    return report
 
 
 def _add_slope(report, metric):
@@ -221,94 +232,77 @@ def _add_slope(report, metric):
 
 def _resistance_sphere(kind, report, *, f_values=range(2, 7), eps_values=(1e-4,),
                        a=1.0, mu=1.0):
-    for _, mesh, key in _spheres(a, f_values):
+    for _, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
         _, bc = _rigid_sphere(mesh, kind, a, mu)
-        for eps in eps_values:
-            kp = KernelParams(eps=eps, mu=mu)
-            matrix = solver.assemble_resistance(mesh, kp)
-            forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
-            if kind == "translate":
-                drag = -solver.net_force(mesh, forces)
-                target = -6.0 * np.pi * mu * a
-                report.add(*key, eps, "drag_x_rel_error",
-                           abs(drag[0] - target) / abs(target))
-                report.add(*key, eps, "drag_y_abs_error", abs(drag[1]))
-                report.add(*key, eps, "drag_z_abs_error", abs(drag[2]))
-            else:
-                torque = -solver.net_torque(mesh, forces, center=np.zeros(3))
-                target = -8.0 * np.pi * mu * a**3
-                report.add(*key, eps, "torque_z_rel_error",
-                           abs(torque[2] - target) / abs(target))
-                report.add(*key, eps, "torque_xy_abs_error",
-                           float(np.hypot(torque[0], torque[1])))
+        forces = solver.solve_resistance(mesh, bc, kp)
+        if kind == "translate":
+            drag = -solver.net_force(mesh, forces)
+            target = -6.0 * np.pi * mu * a
+            report.add(*key, kp.eps, "drag_x_rel_error",
+                       abs(drag[0] - target) / abs(target))
+            report.add(*key, kp.eps, "drag_y_abs_error", abs(drag[1]))
+            report.add(*key, kp.eps, "drag_z_abs_error", abs(drag[2]))
+        else:
+            torque = -solver.net_torque(mesh, forces, center=np.zeros(3))
+            target = -8.0 * np.pi * mu * a**3
+            report.add(*key, kp.eps, "torque_z_rel_error",
+                       abs(torque[2] - target) / abs(target))
+            report.add(*key, kp.eps, "torque_xy_abs_error",
+                       float(np.hypot(torque[0], torque[1])))
     metric = "drag_x_rel_error" if kind == "translate" else "torque_z_rel_error"
     _add_slope(report, metric)
-    return report
 
 
 def _forward_spheroid(report, *, f_values=(4, 5, 6), eps_values=(1e-4,),
                       grading_values=(0.0,), a=3.0, b=1.0, mu=1.0):
-    for grading in grading_values:
-        for f in f_values:
-            mesh = make_spheroid_mesh(f, a, b, grading=grading)
-            key = _row_key(mesh)
-            tractions = ref.spheroid_rotation_reference(mesh.vertices, a, b, mu)[0]
-            target = np.cross([0.0, 0.0, 1.0], mesh.vertices)
-            for eps in eps_values:
-                kp = KernelParams(eps=eps, mu=mu)
-                u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
-                point_err = np.linalg.norm(u - target, axis=1)
-                zfrac = np.abs(mesh.vertices[:, 2]) / a
-                polar = point_err[zfrac > 0.9]
-                equator = point_err[zfrac < 0.3]
-                tag = f"grading={grading:g}:"
-                report.add(*key, eps, tag + "l2_error", ref.l2_error(point_err))
-                report.add(*key, eps, tag + "polar_max_error",
-                           polar.max() if polar.size else 0.0)
-                report.add(*key, eps, tag + "equator_median_error",
-                           np.median(equator) if equator.size else 0.0)
-    return report
+    meshes = ((grading, make_spheroid_mesh(f, a, b, grading=grading))
+              for grading in grading_values for f in f_values)
+    for grading, mesh, key, kp in _sweep(meshes, eps_values, mu):
+        tractions = ref.spheroid_rotation_reference(mesh.vertices, a, b, mu)[0]
+        target = np.cross([0.0, 0.0, 1.0], mesh.vertices)
+        u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
+        point_err = np.linalg.norm(u - target, axis=1)
+        zfrac = np.abs(mesh.vertices[:, 2]) / a
+        polar = point_err[zfrac > 0.9]
+        equator = point_err[zfrac < 0.3]
+        tag = f"grading={grading:g}:"
+        report.add(*key, kp.eps, tag + "l2_error", ref.l2_error(point_err))
+        report.add(*key, kp.eps, tag + "polar_max_error",
+                   polar.max() if polar.size else 0.0)
+        report.add(*key, kp.eps, tag + "equator_median_error",
+                   np.median(equator) if equator.size else 0.0)
 
 
 def _squirmer(report, *, f_values=range(3, 9), eps_values=(1e-4,), a=1.0, mu=1.0):
-    for _, mesh, key in _spheres(a, f_values):
-        slip = _squirmer_slip(mesh)
-        for eps in eps_values:
-            kp = KernelParams(eps=eps, mu=mu)
-            sol = solver.solve_swimmer(mesh, slip, kp, center=np.zeros(3))
-            report.add(*key, eps, "U_z_error", abs(sol.U[2] - (2.0 / 3.0) * B1))
-            report.add(*key, eps, "U_xy", float(np.hypot(*sol.U[:2])))
-            report.add(*key, eps, "Omega_norm", float(np.linalg.norm(sol.Omega)))
+    for _, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
+        sol = solver.solve_swimmer(mesh, _squirmer_slip(mesh), kp, center=np.zeros(3))
+        report.add(*key, kp.eps, "U_z_error", abs(sol.U[2] - (2.0 / 3.0) * B1))
+        report.add(*key, kp.eps, "U_xy", float(np.hypot(*sol.U[:2])))
+        report.add(*key, kp.eps, "Omega_norm", float(np.linalg.norm(sol.Omega)))
     _add_slope(report, "U_z_error")
-    return report
 
 
 def _linear_vs_constant(report, *, f_values=range(2, 7), eps_values=(1e-4,),
                         a=1.0, mu=1.0):
-    for f, mesh, key in _spheres(a, f_values):
+    for f, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
         tractions, target = _rigid_sphere(mesh, "rotate", a, mu)
         face_tractions = tractions[mesh.faces].mean(axis=1)
-        for eps in eps_values:
-            kp = KernelParams(eps=eps, mu=mu)
-            u_lin = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
-            u_con = solver.constant_evaluate_velocity(
-                mesh, face_tractions, mesh.vertices, kp
-            )
-            err = np.linalg.norm(u_lin - target, axis=1)
-            report.add(*key, eps, "linear_l2_error", ref.l2_error(err))
-            err = np.linalg.norm(u_con - target, axis=1)
-            report.add(*key, eps, "constant_l2_error", ref.l2_error(err))
-            if f == CONDITION_F:
-                report.add(*key, eps, "condition_linear",
-                           np.linalg.cond(solver.assemble_resistance(mesh, kp)))
-                report.add(*key, eps, "condition_constant",
-                           np.linalg.cond(solver.constant_assemble_resistance(mesh, kp)))
-    return report
+        u_lin = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
+        u_con = solver.constant_evaluate_velocity(mesh, face_tractions,
+                                                  mesh.vertices, kp)
+        report.add(*key, kp.eps, "linear_l2_error", _vertex_error(u_lin, target))
+        report.add(*key, kp.eps, "constant_l2_error", _vertex_error(u_con, target))
+        if f == CONDITION_F:
+            report.add(*key, kp.eps, "condition_linear",
+                       np.linalg.cond(solver.assemble_resistance(mesh, kp)))
+            report.add(*key, kp.eps, "condition_constant",
+                       np.linalg.cond(solver.constant_assemble_resistance(mesh, kp)))
 
 
 def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
                     mrs_eps_values=(5e-2, 5e-3), a=1.0, mu=1.0):
-    for _, mesh, key in _spheres(a, f_values):
+    for _, mesh in _spheres(a, f_values):
+        key = _row_key(mesh)
         tractions, target = _rigid_sphere(mesh, "translate", a, mu)
         # eps_values=None takes those of 1e-4, 1e-6, 1e-8 above the mesh's
         # floor (not 1e-8 at f <= 2); values passed in are used as given
@@ -321,9 +315,7 @@ def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
             for eps in eps_list:
                 kp = KernelParams(eps=eps, mu=mu)
                 u = evaluate(mesh, tractions, mesh.vertices, kp)
-                err = ref.l2_error(np.linalg.norm(u - target, axis=1))
-                report.add(*key, eps, metric, err)
-    return report
+                report.add(*key, eps, metric, _vertex_error(u, target))
 
 
 def _gauss_rule_4():
@@ -352,7 +344,11 @@ def _triangle_quadrature_points(frame):
 
 def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
                eps_over_h=(1e-2, 1e-1, 0.3, 1.0), h_pipe=0.2, L=2.5, a=1.0, mu=1.0):
+    # its own loop: eps = ratio * h_cube depends on the mesh
     flux0 = ref.flux_without_cube(CUBE_HALF_SIDE, a, a, DUCT_DP, mu)
+    if a <= CUBE_HALF_SIDE:
+        raise ValueError(f"duct half width a must exceed the cube's half side "
+                         f"{CUBE_HALF_SIDE}, got {a}")
     pipe = make_pipe_mesh(L, a, a, h_pipe)
 
     def u_duct(pts):
@@ -379,8 +375,7 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
         for ratio in eps_over_h:
             eps = ratio * h_cube
             kp = KernelParams(eps=eps, mu=mu)
-            matrix = solver.assemble_resistance(mesh, kp)
-            forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
+            forces = solver.solve_resistance(mesh, bc, kp)
             leaks = []
             for nhat, qpts, qwts, u_qpts in sides:
                 u = solver.evaluate_velocity(mesh, forces, qpts, kp) + u_qpts
@@ -397,7 +392,6 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
         coeffs = np.polyfit(np.log(ratios), np.log(scaled), 1)
         report.add(0, 0, 0.0, 0.0, "fit_exponent", coeffs[0])
         report.add(0, 0, 0.0, 0.0, "fit_prefactor", float(np.exp(coeffs[1])))
-    return report
 
 
 _STUDIES = {
@@ -432,4 +426,6 @@ def run_study(study_id: str, params: dict | None = None) -> ExperimentReport:
     if unknown := [key for key in params if key not in settings]:
         raise ValueError(f"study {study_id!r} takes no {', '.join(unknown)}; "
                          f"its settings are {', '.join(settings)}")
-    return _STUDIES[study_id](ExperimentReport(study_id), **params)
+    report = ExperimentReport(study_id)
+    _STUDIES[study_id](report, **params)
+    return report

@@ -1,4 +1,5 @@
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from stokeslet_surfaces.cli import (
     main,
     parse_args,
 )
-from stokeslet_surfaces import studies
+from stokeslet_surfaces import cli, studies
 
 
 def test_parse_args_mesh_defaults():
@@ -171,6 +172,35 @@ def test_mesh_size_that_is_not_finite_is_usage_error(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "finite" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--mu", "0"], ["--a", "0.2"], ["--a", "inf"]],
+                         ids=["mu-0", "duct-narrower-than-cube", "a-inf"])
+def test_pipe_leak_with_a_bad_duct_is_usage_error(flags, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["study", "--id", "pipe-leak", "--h-cube", "0.25",
+                     "--eps-over-h", "0.1"] + flags)
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["study", "--id", "pipe-leak"], ["eval"], ["solve"],
+                                  ["mesh"]], ids=["study", "eval", "solve", "mesh"])
+def test_out_into_a_missing_directory_fails_before_any_work(argv, monkeypatch,
+                                                            tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    monkeypatch.setattr(studies, "run_study", no_work)
+    monkeypatch.setattr(cli, "_build_mesh", no_work)
+    out = str(tmp_path / "missing" / "report.csv")
+    assert main(argv + ["--out", out]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert out in captured.err and ".tmp" not in captured.err
+    assert captured.out == ""
 
 
 def test_study_writes_report(tmp_path, capsys):

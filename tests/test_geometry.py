@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,16 @@ def test_mesh_validation_rejects_bad_faces():
         TriMesh(verts, [[0, 1, 1]])
     with pytest.raises(MeshFormatError, match="no faces"):
         TriMesh(verts, np.zeros((0, 3), dtype=int))
+
+
+@pytest.mark.parametrize("faces", [[[0, 1.7, 2]], [[0.0, 1.0, 2.0]], [["0", "1", "2"]],
+                                   [[0, np.nan, 2]], [[True, False, True]]])
+def test_face_indices_that_are_not_integers_rejected(faces):
+    # a float index is not truncated, nor a string parsed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshFormatError, match="of integers"):
+            TriMesh(np.eye(3), faces)
 
 
 def test_mesh_validation_rejects_duplicate_vertices():

@@ -67,6 +67,17 @@ def test_sphere_radius_must_be_positive_and_finite(reference, a):
         reference([1.0, 0.0, 0.0], a, [1.0, 0.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("name", ["a", "b", "mu"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+def test_duct_size_and_viscosity_must_be_positive_and_finite(name, value):
+    sizes = {"a": 1.0, "b": 1.0, "mu": 1.0, name: value}
+    a, b, mu = sizes["a"], sizes["b"], sizes["mu"]
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        pipe_reference(0.1, 0.2, a, b, 1.0, mu)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        flux_without_cube(0.25, a, b, 1.0, mu)
+
+
 def test_spheroid_torque_independent_evaluation():
     a, b, mu = 3.0, 1.0, 1.0
     e = np.sqrt(a**2 - b**2) / a

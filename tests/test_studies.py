@@ -57,6 +57,44 @@ def test_unknown_setting_rejected_before_any_mesh_is_built(monkeypatch, study_id
         run_study(study_id, {key: [2]})
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bad_eps_rejected_before_any_grid_point_is_solved(monkeypatch):
+    assembled = _count_calls(monkeypatch, studies.solver, "assemble_resistance")
+    with pytest.raises(ValueError, match="eps"):
+        run_study("resistance-drag", {"f_values": [2, 3], "eps_values": [1e-4, -1.0]})
+    assert assembled == []
+
+
+def test_bad_mu_rejected_before_any_mesh_is_built(monkeypatch):
+    built = _count_calls(monkeypatch, studies, "make_icosphere")
+    evaluated = _count_calls(monkeypatch, studies.solver, "evaluate_velocity")
+    with pytest.raises(ValueError, match="mu"):
+        run_study("forward-translate", {"f_values": [2, 3], "mu": 0.0})
+    assert built == [] and evaluated == []
+
+
+@pytest.mark.parametrize("a", [0.25, 0.2])
+def test_duct_no_wider_than_the_cube_rejected_before_any_mesh_is_built(monkeypatch,
+                                                                       a):
+    boxes = _count_calls(monkeypatch, studies, "make_box_mesh")
+    pipes = _count_calls(monkeypatch, studies, "make_pipe_mesh")
+    with pytest.raises(ValueError, match="exceed the cube's half side"):
+        run_study("pipe-leak", {"a": a, "h_cube_values": [0.25]})
+    assert boxes == [] and pipes == []
+
+
 def test_report_rejects_non_finite():
     report = ExperimentReport(experiment="x")
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from .geometry import _require_positive
 
 # Indices of the 50 terms of the duct series (truncation about 5e-7 at walls).
 _DUCT_N = np.arange(1, 51)
+_DUCT_ALPHA = (_DUCT_N - 0.5) * np.pi
 
 __all__ = [
     "l2_error",
@@ -115,13 +116,12 @@ def pipe_reference(y, z, a: float, b: float, dP: float, mu: float):
     _require_positive(a=a, b=b, mu=mu)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    alpha = (_DUCT_N - 0.5) * np.pi
     series = np.sum(
         (-1.0) ** _DUCT_N
-        / alpha**3
-        * np.cosh(alpha * y[..., None] / b)
-        / np.cosh(alpha * a / b)
-        * np.cos(alpha * z[..., None] / b),
+        / _DUCT_ALPHA**3
+        * np.cosh(_DUCT_ALPHA * y[..., None] / b)
+        / np.cosh(_DUCT_ALPHA * a / b)
+        * np.cos(_DUCT_ALPHA * z[..., None] / b),
         axis=-1,
     )
     u = dP / (2.0 * mu) * (b**2 - z**2 + 4.0 * b**2 * series)
@@ -132,13 +132,12 @@ def flux_without_cube(s: float, a: float, b: float, dP: float, mu: float) -> flo
     """Flux of the unobstructed duct flow through the square |y|,|z| <= s; a,
     b and mu must be positive and finite."""
     _require_positive(a=a, b=b, mu=mu)
-    alpha = (_DUCT_N - 0.5) * np.pi
     series = np.sum(
         (-1.0) ** _DUCT_N
-        / alpha**5
-        * np.sinh(alpha * s / b)
-        / np.cosh(alpha * a / b)
-        * np.sin(alpha * s / b)
+        / _DUCT_ALPHA**5
+        * np.sinh(_DUCT_ALPHA * s / b)
+        / np.cosh(_DUCT_ALPHA * a / b)
+        * np.sin(_DUCT_ALPHA * s / b)
     )
     return float(
         -(2.0 / 3.0) * dP / mu * s**2 * (-3.0 * b**2 + s**2)

@@ -234,7 +234,8 @@ def _resistance_sphere(kind, report, *, f_values=range(2, 7), eps_values=(1e-4,)
                        a=1.0, mu=1.0):
     for _, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
         _, bc = _rigid_sphere(mesh, kind, a, mu)
-        forces = solver.solve_resistance(mesh, bc, kp)
+        matrix = solver.assemble_resistance(mesh, kp)
+        forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
         if kind == "translate":
             drag = -solver.net_force(mesh, forces)
             target = -6.0 * np.pi * mu * a
@@ -375,7 +376,8 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
         for ratio in eps_over_h:
             eps = ratio * h_cube
             kp = KernelParams(eps=eps, mu=mu)
-            forces = solver.solve_resistance(mesh, bc, kp)
+            matrix = solver.assemble_resistance(mesh, kp)
+            forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
             leaks = []
             for nhat, qpts, qwts, u_qpts in sides:
                 u = solver.evaluate_velocity(mesh, forces, qpts, kp) + u_qpts

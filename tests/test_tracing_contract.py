@@ -5,6 +5,10 @@ package for span wrappers. A renamed target would be skipped silently in a
 benchmark run and only listed in `Instrumentation.missing`, so this test
 installs the wrappers with a disabled tracer, requires that list to be
 empty, and checks that `restore` puts every original attribute back.
+
+The benchmark's residual gate on the studies' resistance solves reads the
+`residual_rel` its solve wrapper records, which it can compute only when the
+caller passes the assembled matrix as `matrix=`.
 """
 
 import importlib.util
@@ -44,3 +48,20 @@ def test_tracing_finds_every_target_and_restores_it():
     after = _attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_study_solves_report_their_residual():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(enabled=True)
+    instr = tracing.Instrumentation(ss, tracer)
+    try:
+        instr.install()
+        # the benchmark's duct-leak op, and a resistance study
+        ss.run_study("pipe-leak", {"h_cube_values": [1.0 / 6.0], "h_pipe": 1.0,
+                                   "L": 1.0, "eps_over_h": [0.1, 0.5]})
+        ss.run_study("resistance-drag", {"f_values": [2]})
+    finally:
+        instr.restore()
+    solves = [s["attrs"] for s in tracer.spans if s["name"] == tracing.SOLVE_RES]
+    assert len(solves) == 3
+    assert all(attrs["residual_rel"] < 1e-10 for attrs in solves)

@@ -14,11 +14,11 @@ into the interior, where the fluid lives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateTriangleError, MeshFormatError
 
@@ -110,9 +110,10 @@ class TriMesh:
     Construction, also by `transformed` and `merged_with`, raises
     MeshFormatError for a mesh without faces, non-integer face indices, a
     non-finite vertex, a face index out of range, a face repeating a vertex, or
-    two vertices within 1e-12 of the bounding-box diagonal (merged surfaces
-    sharing a vertex), and DegenerateTriangleError for a face with a zero-length
-    side or (near-)collinear corners. It then builds the frames of all faces.
+    two vertices at most 1e-12 times the bounding-box diagonal apart (merged
+    surfaces sharing a vertex), and DegenerateTriangleError for a face with a
+    zero-length side or (near-)collinear corners. It then builds the frames of
+    all faces.
     """
 
     def __init__(self, vertices, faces):
@@ -143,7 +144,7 @@ class TriMesh:
         # a face of three distinct in-range vertices leaves N >= 3 here
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         tol = 1e-12 * float(np.linalg.norm(span))
-        if tol > 0 and cKDTree(self.vertices).query_pairs(tol):
+        if tol > 0 and _has_close_pair(self.vertices, tol):
             raise MeshFormatError("duplicate vertices within tolerance")
 
     @property
@@ -176,6 +177,41 @@ class TriMesh:
         verts = np.vstack([self.vertices, other.vertices])
         faces = np.vstack([self.faces, other.faces + self.num_vertices])
         return TriMesh(verts, faces)
+
+
+# Cell keys for _has_close_pair: cell c has key c . (1, P, P**2) modulo 2**64,
+# so a neighbour c + d has key + d . (1, P, P**2). Distinct cells may share a
+# key, which only adds candidate pairs; with 3 <= P and P**2 + P + 1 < 2**63
+# no step d != 0 has key 0 modulo 2**64, so no point pairs with itself.
+_P = 1_000_003
+_CELL_KEY = np.array([1, _P, _P * _P], dtype=np.uint64)
+# the cell itself, then one of each pair of opposite neighbours (13)
+_STEPS = [d for d in itertools.product((-1, 0, 1), repeat=3) if d >= (0, 0, 0)]
+_STEP_KEYS = np.array([(dx + dy * _P + dz * _P * _P) % 2**64 for dx, dy, dz in _STEPS],
+                      dtype=np.uint64)[:, None]
+
+
+def _has_close_pair(points, tol) -> bool:
+    """Whether two of the points, shape (N >= 2, 3), lie within distance
+    tol > 0: whether some pair has (dx*dx + dy*dy) + dz*dz <= tol*tol."""
+    if tol == math.inf:  # an overflowed diagonal: every pair lies within it
+        return True
+    # a pair within tol lies in one cell of side 2 tol or in two neighbouring
+    # ones (2 tol, not tol, so that rounding cannot put it two cells apart)
+    cells = np.floor((points - points.min(axis=0)) / (2 * tol)).astype(np.uint64)
+    key = cells @ _CELL_KEY
+    order = np.argsort(key)
+    key, points = key[order], points[order]
+    targets = key + _STEP_KEYS
+    lo = np.searchsorted(key, targets, side="left")
+    hi = np.searchsorted(key, targets, side="right")
+    lo[0] = np.arange(1, len(key) + 1)  # in its own cell: the points after it
+    step, i = np.nonzero(hi > lo)
+    lo, n = lo[step, i], hi[step, i] - lo[step, i]
+    # each point i against the positions lo .. lo + n - 1 of its range
+    j = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+    d = points[np.repeat(i, n)] - points[j]
+    return bool(np.any((d * d).sum(axis=1) <= tol * tol))
 
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:

@@ -302,21 +302,25 @@ def _linear_vs_constant(report, *, f_values=range(2, 7), eps_values=(1e-4,),
 
 def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
                     mrs_eps_values=(5e-2, 5e-3), a=1.0, mu=1.0):
+    # its own loop: eps_values=None takes those of 1e-4, 1e-6, 1e-8 above each
+    # mesh's floor (not 1e-8 at f <= 2); every eps passed in is checked, with
+    # mu, before the first mesh is built, and used as given
+    mrs_params = [KernelParams(eps=eps, mu=mu) for eps in mrs_eps_values]
+    if eps_values is not None:
+        surface_params = [KernelParams(eps=eps, mu=mu) for eps in eps_values]
     for _, mesh in _spheres(a, f_values):
         key = _row_key(mesh)
         tractions, target = _rigid_sphere(mesh, "translate", a, mu)
-        # eps_values=None takes those of 1e-4, 1e-6, 1e-8 above the mesh's
-        # floor (not 1e-8 at f <= 2); values passed in are used as given
-        floor = epsilon_floor(mesh)
-        surface_eps = ([eps for eps in (1e-4, 1e-6, 1e-8) if eps > floor]
-                       if eps_values is None else eps_values)
-        for metric, evaluate, eps_list in (
-                ("surfaces_l2_error", solver.evaluate_velocity, surface_eps),
-                ("mrs_l2_error", solver.baseline_mrs_velocity, mrs_eps_values)):
-            for eps in eps_list:
-                kp = KernelParams(eps=eps, mu=mu)
+        if eps_values is None:
+            floor = epsilon_floor(mesh)
+            surface_params = [KernelParams(eps=eps, mu=mu)
+                              for eps in (1e-4, 1e-6, 1e-8) if eps > floor]
+        for metric, evaluate, params in (
+                ("surfaces_l2_error", solver.evaluate_velocity, surface_params),
+                ("mrs_l2_error", solver.baseline_mrs_velocity, mrs_params)):
+            for kp in params:
                 u = evaluate(mesh, tractions, mesh.vertices, kp)
-                report.add(*key, eps, metric, _vertex_error(u, target))
+                report.add(*key, kp.eps, metric, _vertex_error(u, target))
 
 
 def _gauss_rule_4():
@@ -345,11 +349,14 @@ def _triangle_quadrature_points(frame):
 
 def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
                eps_over_h=(1e-2, 1e-1, 0.3, 1.0), h_pipe=0.2, L=2.5, a=1.0, mu=1.0):
-    # its own loop: eps = ratio * h_cube depends on the mesh
+    # its own loop: eps = ratio * h_cube depends on the mesh; each eps is
+    # checked before the first mesh is built
     flux0 = ref.flux_without_cube(CUBE_HALF_SIDE, a, a, DUCT_DP, mu)
     if a <= CUBE_HALF_SIDE:
         raise ValueError(f"duct half width a must exceed the cube's half side "
                          f"{CUBE_HALF_SIDE}, got {a}")
+    params = [[KernelParams(eps=ratio * h_cube, mu=mu) for ratio in eps_over_h]
+              for h_cube in h_cube_values]
     pipe = make_pipe_mesh(L, a, a, h_pipe)
 
     def u_duct(pts):
@@ -357,7 +364,7 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
         u[:, 0] = ref.pipe_reference(pts[:, 1], pts[:, 2], a, a, DUCT_DP, mu)
         return u
 
-    for h_cube in h_cube_values:
+    for h_cube, cube_params in zip(h_cube_values, params):
         cube = make_box_mesh((0.0, 0.0, 0.0), CUBE_HALF_SIDE, h_cube)
         mesh = cube.merged_with(pipe)
         bc = np.zeros((mesh.num_vertices, 3))
@@ -373,9 +380,7 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
             on_side = np.abs(frames.nhat @ nhat - 1.0) <= 1e-12
             qpts, qwts = _triangle_quadrature_points(frames.select(on_side))
             sides.append((nhat, qpts, qwts, u_duct(qpts)))
-        for ratio in eps_over_h:
-            eps = ratio * h_cube
-            kp = KernelParams(eps=eps, mu=mu)
+        for kp in cube_params:
             matrix = solver.assemble_resistance(mesh, kp)
             forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
             leaks = []
@@ -383,9 +388,9 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
                 u = solver.evaluate_velocity(mesh, forces, qpts, kp) + u_qpts
                 leaks.append(float(np.sum(qwts * np.abs(u @ nhat))) / flux0)
             front, back = leaks
-            report.add(*key, eps, "leak_front", front)
-            report.add(*key, eps, "scaled_leak", front * h_cube ** (-1.5))
-            report.add(*key, eps, "leak_back", back)
+            report.add(*key, kp.eps, "leak_front", front)
+            report.add(*key, kp.eps, "scaled_leak", front * h_cube ** (-1.5))
+            report.add(*key, kp.eps, "leak_back", back)
     # power-law fit of scaled leak vs eps/h across the whole grid
     scaled_rows = [r for r in report.rows if r["metric"] == "scaled_leak"]
     if len(scaled_rows) >= 2:

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+
+import stokeslet_surfaces
 
 from stokeslet_surfaces import (
     DegenerateTriangleError,
@@ -16,6 +25,7 @@ from stokeslet_surfaces import (
     triangle_frame,
     write_mesh,
 )
+from stokeslet_surfaces.geometry import _has_close_pair
 
 
 @pytest.mark.parametrize("f", [1, 2, 4, 6, 8])
@@ -143,6 +153,123 @@ def test_mesh_validation_rejects_duplicate_vertices():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1.0, 0, 0]])
     with pytest.raises(MeshFormatError):
         TriMesh(verts, [[0, 1, 2], [0, 3, 2]])
+
+
+def _duplicate_tol(points):
+    """TriMesh's duplicate-vertex tolerance: 1e-12 times the bounding-box diagonal."""
+    return 1e-12 * float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+
+
+def _has_close_pair_brute_force(points, tol):
+    d = points[:, None] - points[None]
+    i, j = np.triu_indices(len(points), k=1)
+    return bool(np.any((d * d).sum(axis=-1)[i, j] <= tol * tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(["cloud", "box", "pipe"]), seed=st.integers(0, 2**32 - 1),
+       ratio=st.sampled_from([0.0, 0.5, 0.999, 1.001, 1.5, 2.5]),
+       planted=st.integers(2, 6), on_cell_corner=st.booleans())
+def test_close_pair_check_matches_brute_force(shape, seed, ratio, planted,
+                                              on_cell_corner):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-4, 4)
+    if shape == "cloud":
+        points = scale * (rng.normal(size=(rng.integers(3, 40), 3)) - rng.uniform(0, 5, 3))
+    elif shape == "box":
+        points = make_box_mesh(-scale * rng.uniform(0, 5, 3), scale, scale / 4).vertices
+    else:
+        points = scale * make_pipe_mesh(1.0, 0.5, 0.25, 0.25).vertices
+    tol = _duplicate_tol(points)
+    # points on a sphere of diameter ratio * tol about a point inside the
+    # bounding box, the first two opposite; on a corner of the check's cells
+    # (side 2 tol from the low corner) they straddle a cell boundary along
+    # every axis, and several of them share cells
+    lo, span = points.min(axis=0), points.max(axis=0) - points.min(axis=0)
+    centre = lo + rng.uniform(0.1, 0.9, 3) * span
+    if on_cell_corner:
+        centre = lo + np.round((centre - lo) / (2 * tol)) * 2 * tol
+    u = rng.normal(size=(planted, 3))
+    u[1] = -u[0]
+    u *= 0.5 * ratio * tol / np.linalg.norm(u, axis=1)[:, None]
+    points = np.vstack([points, centre + rng.permutation(u)])
+    assert _duplicate_tol(points) == tol
+    expected = _has_close_pair_brute_force(points, tol)
+    assert _has_close_pair(points, tol) == expected
+    assert bool(cKDTree(points).query_pairs(tol)) == expected
+
+
+def test_close_pair_found_behind_other_points_of_a_cell():
+    # the check's cells have side 2 tol from the low corner: p lies in cell
+    # (0, 0, 0), and its neighbour (1, 0, 0) holds five points, of which only
+    # the last is within tol of p
+    tol = 1e-12 * np.sqrt(3.0)
+    p = [1.9, 1.0, 1.0]
+    neighbours = [[3.9, 0.1, 0.1], [3.9, 1.9, 1.9], [3.9, 0.1, 1.9], [3.9, 1.9, 0.1],
+                  [2.5, 1.0, 1.0]]
+    points = np.vstack([np.zeros(3), tol * np.array([p] + neighbours), np.ones(3)])
+    assert _duplicate_tol(points) == tol
+    assert _has_close_pair(points, tol)
+    assert not _has_close_pair(np.delete(points, 6, axis=0), tol)
+
+
+def test_vertex_exactly_tolerance_apart_rejected():
+    # (tol, 0, 0) lies tol from the origin in exact arithmetic: the bound is
+    # inclusive
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1e-12 * np.sqrt(2.0), 0, 0]])
+    assert _duplicate_tol(verts) == verts[3, 0]
+    with pytest.raises(MeshFormatError, match="duplicate vertices"):
+        TriMesh(verts, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("direction", [(1, 0, 0), (0, -1, 0), (0, 0, 1), (1, -1, 1),
+                                       (-0.3, 2.0, 0.7)])
+@pytest.mark.parametrize("make", [
+    lambda: make_box_mesh((-2.0, -1.0, -0.5), 0.25, 0.125),
+    lambda: make_pipe_mesh(1.0, 0.5, 0.25, 0.25),
+    lambda: make_icosphere(3).transformed(translation=(-1.0, -2.0, -3.0)),
+])
+def test_vertex_copy_rejected_exactly_within_tolerance(make, direction):
+    mesh = make()
+    tol = _duplicate_tol(mesh.vertices)
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    for k in (0, mesh.num_vertices // 2, mesh.num_vertices - 1):
+        for ratio, rejected in ((0.5, True), (0.999, True), (1.001, False)):
+            copy = mesh.vertices[k] + ratio * tol * u
+            verts = np.vstack([mesh.vertices, copy])
+            assert _duplicate_tol(verts) == pytest.approx(tol, rel=1e-9)
+            if rejected:
+                with pytest.raises(MeshFormatError, match="duplicate vertices"):
+                    TriMesh(verts, mesh.faces)
+            else:
+                TriMesh(verts, mesh.faces)
+
+
+@pytest.mark.parametrize("far", [[1e200, 0, 0], [-1e308, 0, 0]])
+def test_mesh_whose_diagonal_overflows_rejected(far):
+    # the tolerance 1e-12 * inf holds every pair of vertices
+    verts = np.array([[1e308, 0, 0], [0, 1e200, 0], far])
+    with np.errstate(over="ignore"), pytest.raises(MeshFormatError, match="duplicate"):
+        TriMesh(verts, [[0, 1, 2]])
+
+
+def test_mesh_construction_imports_no_scipy(tmp_path):
+    code = """
+import sys
+import stokeslet_surfaces as ss
+mesh = ss.make_icosphere(2)
+moved = mesh.transformed(rotation=[[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+                         translation=(3.0, 0.0, 0.0))
+pair = mesh.merged_with(moved)
+ss.write_mesh(pair, sys.argv[1])
+assert ss.read_mesh(sys.argv[1]).num_vertices == pair.num_vertices
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(stokeslet_surfaces.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "pair.mesh")],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_spheroid_vertices_on_surface():

@@ -77,6 +77,22 @@ def test_bad_eps_rejected_before_any_grid_point_is_solved(monkeypatch):
     assert assembled == []
 
 
+@pytest.mark.parametrize("study_id, params", [
+    ("mrs-comparison", {"f_values": [2, 3], "mrs_eps_values": [-1.0]}),
+    ("mrs-comparison", {"f_values": [2, 3], "eps_values": [1e-4, -1.0]}),
+    ("pipe-leak", {"h_cube_values": [0.25, 0.125], "eps_over_h": [0.1, -1.0]}),
+])
+def test_bad_eps_of_a_mesh_dependent_sweep_rejected_before_any_mesh_is_built(
+        monkeypatch, study_id, params):
+    # these two studies' eps lists depend on the mesh, so they skip _sweep
+    built = [_count_calls(monkeypatch, studies, name)
+             for name in ("make_icosphere", "make_box_mesh", "make_pipe_mesh")]
+    evaluated = _count_calls(monkeypatch, studies.solver, "evaluate_velocity")
+    with pytest.raises(ValueError, match="eps"):
+        run_study(study_id, params)
+    assert built == [[], [], []] and evaluated == []
+
+
 def test_bad_mu_rejected_before_any_mesh_is_built(monkeypatch):
     built = _count_calls(monkeypatch, studies, "make_icosphere")
     evaluated = _count_calls(monkeypatch, studies.solver, "evaluate_velocity")

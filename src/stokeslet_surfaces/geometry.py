@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+# Largest |coordinate| of a mesh vertex. The frames square side lengths and
+# the norms of corner cross products, |n|**2 ~ L**4, which stay finite for
+# sides up to 2 sqrt(3) _MAX_COORDINATE; so does the duplicate tolerance.
+_MAX_COORDINATE = 1e75
+
+
 @dataclass(frozen=True)
 class TriangleFrame:
     """Geometry of F flat triangles (y0, y1, y2), one row per triangle.
@@ -58,6 +64,10 @@ class TriangleFrame:
     def select(self, index) -> "TriangleFrame":
         """The frames of the triangles picked by a slice, mask or index array."""
         return TriangleFrame(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def centroids(self) -> np.ndarray:
+        """Centroids of the triangles, shape (F, 3)."""
+        return (self.y0 + self.y1 + self.y2) / 3.0
 
 
 def _row_dot(a, b):
@@ -109,9 +119,10 @@ class TriMesh:
 
     Construction, also by `transformed` and `merged_with`, raises
     MeshFormatError for a mesh without faces, non-integer face indices, a
-    non-finite vertex, a face index out of range, a face repeating a vertex, or
-    two vertices at most 1e-12 times the bounding-box diagonal apart (merged
-    surfaces sharing a vertex), and DegenerateTriangleError for a face with a
+    non-finite vertex, a coordinate beyond +-1e75 (`_MAX_COORDINATE`), a
+    face index out of range, a face repeating a vertex, or two vertices at
+    most 1e-12 times the bounding-box diagonal apart (merged surfaces
+    sharing a vertex), and DegenerateTriangleError for a face with a
     zero-length side or (near-)collinear corners. It then builds the frames of
     all faces.
     """
@@ -136,6 +147,10 @@ class TriMesh:
             raise MeshFormatError("mesh has no faces")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshFormatError("non-finite vertex coordinate")
+        if np.abs(self.vertices).max() > _MAX_COORDINATE:
+            raise MeshFormatError(
+                f"vertex coordinate beyond +-{_MAX_COORDINATE:g}, too large for "
+                "the triangle frames")
         if f.min() < 0 or f.max() >= len(self.vertices):
             raise MeshFormatError("face index out of range")
         if (np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2])
@@ -161,7 +176,9 @@ class TriMesh:
         return self._frames
 
     def face_centroids(self) -> np.ndarray:
-        return self.vertices[self.faces].mean(axis=1)
+        # the frame's own, so that the kernel's offset from a face's
+        # centroid is exactly 0 at the centroid
+        return self._frames.centroids()
 
     def transformed(self, rotation=None, translation=None) -> "TriMesh":
         """Rigidly rotate and/or translate the mesh."""
@@ -194,8 +211,6 @@ _STEP_KEYS = np.array([(dx + dy * _P + dz * _P * _P) % 2**64 for dx, dy, dz in _
 def _has_close_pair(points, tol) -> bool:
     """Whether two of the points, shape (N >= 2, 3), lie within distance
     tol > 0: whether some pair has (dx*dx + dy*dy) + dz*dz <= tol*tol."""
-    if tol == math.inf:  # an overflowed diagonal: every pair lies within it
-        return True
     # a pair within tol lies in one cell of side 2 tol or in two neighbouring
     # ones (2 tol, not tol, so that rounding cannot put it two cells apart)
     cells = np.floor((points - points.min(axis=0)) / (2 * tol)).astype(np.uint64)

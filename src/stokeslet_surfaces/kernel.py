@@ -23,11 +23,13 @@ All functions here are pure and broadcast over a chunk of F faces (one
 struct-of-arrays TriangleFrame) times a batch of M field points. Scalars
 have shape (F, M); vectors are component-major, (3, F, M), and blocks
 (3, 3, F, M), so that every array operation runs over contiguous F*M runs.
-Each corner block is formed in rank-3 form from one set of vectors p, q, r
-(`_corner_terms`), which both the blocks and the force contraction of
-forward evaluation use. `t_table` and `triangle_velocity` evaluate one face
-at one point through the same path that assembly uses, after the same
-floor check.
+Each basis function's block has rank-3 form about its own collocation
+point, the corner of a linear hat or the centroid of a constant density,
+with coefficients (`_basis_terms`) that assembly's blocks
+(`_velocity_blocks`) and forward evaluation (`_velocity`) share;
+evaluation contracts them with the forces and forms no 3x3 entry.
+`t_table` and `triangle_velocity` evaluate one face at one point through
+the same path that assembly uses, after the same floor check.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ def _reversed(d0, d1, d2):
 
 def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     """All 13 T integrals for F faces and the M field points xf, shape (M, 3),
-    values (F, M), and the offsets xf - y0, shape (3, F, M)."""
+    values (F, M), and the corner offsets xf - y_j, shape (3, 3, F, M):
+    corner, xyz, face, point."""
     corners = np.stack([_columns(y) for y in (frame.y0, frame.y1, frame.y2)])
     # corner, xyz, face, point; the points are copied component-major
     # first: at M = 6000 the broadcast subtraction from the strided xf.T
@@ -240,7 +243,7 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
     for m, n, second in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 1),
                          (2, 0, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1)):
         T[m + 1 - second, n + second, 3] = step(m, n, second)
-    return T, x[0]
+    return T, x
 
 
 def _one_point(xf, frame: TriangleFrame, eps: float):
@@ -257,74 +260,135 @@ def t_table(xf, frame: TriangleFrame, eps: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the velocity formula in rank-3 form: per corner k, u = M_k f_k with
-# M_k = c_k I + x0 p_k^T + v q_k^T + w r_k^T
+# the velocity formula in rank-3 form, each basis function's block taken
+# about its own collocation point xc: u = M_k g_k with
+# M_k = s (c_k I + [x_k v w] S_k [x_k v w]^T), x_k = xf - xc
 
 # T keys of the seven coefficients (t1, tE, tXv, tXw, tVv, tVw, tWw) that the
 # bases f0, fa = f1 - f0 and fb = f2 - f1 of the linear density carry in
-#   t1 I + tE (eps^2 I + x0 x0^T) + L1 tXv (x0 v^T + v x0^T)
-#   + L2 tXw (x0 w^T + w x0^T) + L1^2 tVv v v^T
-#   + L1 L2 tVw (v w^T + w v^T) + L2^2 tWw w w^T
+#   t1 I + tE (eps^2 I + x0 x0^T) + tXv (x0 v^T + v x0^T)
+#   + tXw (x0 w^T + w x0^T) + tVv v v^T + tVw (v w^T + w v^T) + tWw w w^T
+# with the edges v = y0 - y1 and w = y1 - y2: xf - y = x0 + alpha v + beta w
 _BASIS_KEYS = (
     ((0, 0, 1), (0, 0, 3), (1, 0, 3), (0, 1, 3), (2, 0, 3), (1, 1, 3), (0, 2, 3)),
     ((1, 0, 1), (1, 0, 3), (2, 0, 3), (1, 1, 3), (3, 0, 3), (2, 1, 3), (1, 2, 3)),
     ((0, 1, 1), (0, 1, 3), (1, 1, 3), (0, 2, 3), (2, 1, 3), (1, 2, 3), (0, 3, 3)),
 )
-# the symmetric coefficient matrix [[a, b, d], [b, e, g], [d, g, h]] of
-# (x0, v, w), stored as (a, b, d, e, g, h): p, q and r take these entries
-_PQR_ENTRIES = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+# the symmetric S_k = [[tE, tXv, tXw], [tXv, tVv, tVw], [tXw, tVw, tWw]],
+# stored as (tE, tXv, tXw, tVv, tVw, tWw): row i of S_k takes these entries
+_S_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
-def _corner_terms(xf, frame: TriangleFrame, params: KernelParams):
-    """The three corner blocks of F faces at the M points xf in rank-3 form.
+def _shift(t, sigma, tau):
+    """Move the coefficients t, shape (7, F, M), in place from moments about
+    y0 to moments about xc = y0 + sigma (y1 - y0) + tau (y2 - y1): with
+    x0 = (xf - xc) - (sigma v + tau w), alpha becomes alpha - sigma and
+    beta becomes beta - tau in every moment. A unit factor costs no array
+    operation, and a zero one skips its terms."""
+    _, tE, tXv, tXw, tVv, tVw, tWw = t
 
-    Returns (c, x0, v, w, pqr) with u = sum over corners k of
-    c[k] f_k + x0 (p_k . f_k) + v (q_k . f_k) + w (r_k . f_k):
-    c has shape (3, F, M), one row per corner; x0 = xf - y0 has shape
-    (3, F, M) and the edge directions v, w have shape (3, F, 1); pqr has
-    shape (3, 3, 3, F, M): corner k, vector p/q/r, xyz. The 1/(8 pi mu)
-    prefactor and the area Jacobian are included.
+    def times(k, a):
+        return a if k == 1 else k * a
 
-    The T moments about corner 0 carry a large cancellation at eps << h. The
-    blocks and the contraction of forward evaluation both go through these
-    rounded p, q, r, so assembled and evaluated velocities agree to rounding.
+    # the quadratic moments first: they take the unshifted linear ones
+    if sigma:
+        tVv += times(sigma * sigma, tE) - times(2 * sigma, tXv)
+        tVw -= times(sigma, tXw)
+    if tau:
+        tWw += times(tau * tau, tE) - times(2 * tau, tXw)
+        tVw += times(sigma * tau, tE) - times(tau, tXv)
+        tXw -= times(tau, tE)
+    if sigma:
+        tXv -= times(sigma, tE)
+
+
+def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False):
+    """Each basis function's block of F faces at the M points xf in rank-3 form.
+
+    The bases are the three corner hats of the linear density, each taken
+    about its own corner, or with `constant` the constant density of the
+    face, taken about its centroid. Returns (c, S, x, v, w, s) with
+    M_k = s (c[k] I + [x[k] v w] S_k [x[k] v w]^T) for basis k: c has shape
+    (K, F, M), K = 3 or 1; S holds the entries of S_k, shape (K, 6, F, M),
+    in the order of _S_ROWS; x[k] = xf - xc_k, shape (K, 3, F, M), is the
+    offset from the basis function's collocation point; v and w are the
+    edges y0 - y1 and y1 - y2, shape (3, F, 1); and s, shape (F, 1), is the
+    area Jacobian BH times the prefactor 1/(8 pi mu).
+
+    The T moments about corner 0 carry a large cancellation at eps << h.
+    The shift to each collocation point takes it once, in coefficients that
+    assembly and evaluation share, and at a collocation point x[k] is
+    exactly 0, so assembled and evaluated velocities agree to rounding.
     """
-    T, x0 = _t_table_arrays(xf, frame, params.eps)
-    t = np.empty((3, 7) + x0.shape[1:], dtype=x0.dtype)  # corner, coefficient
-    for i, (key0, key_a, key_b) in enumerate(zip(*_BASIS_KEYS)):
-        np.subtract(T[key0], T[key_a], out=t[0, i])
-        np.subtract(T[key_a], T[key_b], out=t[1, i])
-        t[2, i] = T[key_b]
+    T, x = _t_table_arrays(xf, frame, params.eps)
+    t = np.empty((1 if constant else 3, 7) + x.shape[2:], dtype=x.dtype)
+    if constant:  # the three hats sum to one: the f0 basis
+        for i, key in enumerate(_BASIS_KEYS[0]):
+            t[0, i] = T[key]
+        x = (np.ascontiguousarray(xf.T)[:, None, :] - _columns(frame.centroids()))[None]
+        shifts = ((2.0 / 3.0, 1.0 / 3.0),)  # the centroid
+    else:
+        for i, (key0, key_a, key_b) in enumerate(zip(*_BASIS_KEYS)):
+            np.subtract(T[key0], T[key_a], out=t[0, i])
+            np.subtract(T[key_a], T[key_b], out=t[1, i])
+            t[2, i] = T[key_b]
+        # corner k is y0 + sigma (y1 - y0) + tau (y2 - y1)
+        shifts = ((0, 0), (1, 0), (1, 1))
     del T  # keeps the peak memory of a call down
-    scale = frame.BH[:, None] / (8.0 * np.pi * params.mu)
-    L1, L2 = frame.side_L[:, 0, None], frame.side_L[:, 1, None]
-    c = scale * (t[:, 0] + params.eps**2 * t[:, 1])
-    coef = t[:, 1:]  # corner, (a, b, d, e, g, h), face, point
-    coef *= np.stack([scale, scale * L1, scale * L2,
-                      scale * L1**2, scale * (L1 * L2), scale * L2**2])
-    v, w = _columns(frame.side_e[:, 0]), _columns(frame.side_e[:, 1])
-    pqr = np.empty((3, 3) + x0.shape, dtype=x0.dtype)
-    for row, (i0, i1, i2) in enumerate(_PQR_ENTRIES):
+    for tk, (sigma, tau) in zip(t, shifts):
+        _shift(tk, sigma, tau)
+    c = t[:, 0] + params.eps**2 * t[:, 1]
+    L = frame.side_L[:, :2, None]
+    v, w = _columns(L[:, 0] * frame.side_e[:, 0]), _columns(L[:, 1] * frame.side_e[:, 1])
+    s = frame.BH[:, None] / (8.0 * np.pi * params.mu)
+    return c, t[:, 1:], x, v, w, s
+
+
+def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, constant=False):
+    """Per basis function, face and point the 3x3 matrix M_k with u = sum
+    over k of M_k g_k, shape (K, 3, 3, F, M): basis (the corners 0, 1, 2,
+    or with `constant` the face), velocity component, force component,
+    face, point."""
+    c, S, x, v, w, s = _basis_terms(xf, frame, params, constant)
+    c *= s
+    S *= s
+    # the vectors p_k, q_k, r_k of S_k [x_k v w]^T, shape (K, 3, 3, F, M)
+    pqr = np.empty((len(x), 3) + x.shape[1:], dtype=x.dtype)
+    for row, (i0, i1, i2) in enumerate(_S_ROWS):
         out = pqr[:, row]
-        np.multiply(coef[:, i0, None], x0, out=out)
-        out += coef[:, i1, None] * v
-        out += coef[:, i2, None] * w
-    return c, x0, v, w, pqr
-
-
-def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams):
-    """Per corner, face and point the 3x3 matrix M_k with u = M_0 f_0 +
-    M_1 f_1 + M_2 f_2, shape (3, 3, 3, F, M): corner, velocity component,
-    force component, face, point."""
-    c, x0, v, w, pqr = _corner_terms(xf, frame, params)
+        np.multiply(S[:, i0, None], x, out=out)
+        out += S[:, i1, None] * v
+        out += S[:, i2, None] * w
     blocks = np.empty_like(pqr)
     for i in range(3):
-        row = blocks[:, i]  # velocity component i: corner, j, face, point
-        np.multiply(x0[i], pqr[:, 0], out=row)
+        row = blocks[:, i]  # velocity component i: basis, j, face, point
+        np.multiply(x[:, i, None], pqr[:, 0], out=row)
         row += v[i] * pqr[:, 1]
         row += w[i] * pqr[:, 2]
         row[:, i] += c
     return blocks
+
+
+def _velocity(xf, frame: TriangleFrame, forces, params: KernelParams, constant=False):
+    """Velocity at the M points xf, shape (3, M), summed over the F faces of
+    the frame, from the force of each face's basis functions, shape
+    (F, K, 3).
+
+    Each block is contracted with its scaled force g_k = s f_k before any
+    3x3 entry is formed: with X = x_k . g_k, V = v . g_k and W = w . g_k,
+    the rows of S_k (X, V, W) give P_k, Q_k and R_k, and
+    u = sum over k of (c_k g_k + x_k P_k) + v sum Q_k + w sum R_k.
+    """
+    c, S, x, v, w, s = _basis_terms(xf, frame, params, constant)
+    g = s * forces.transpose(1, 2, 0)[..., None]  # basis, xyz, face, 1
+    X, V, W = (_dot(a, g.swapaxes(0, 1)) for a in (x.swapaxes(0, 1), v, w))
+    P, Q, R = (S[:, i0] * X + S[:, i1] * V + S[:, i2] * W for i0, i1, i2 in _S_ROWS)
+    u = v * Q.sum(axis=0)
+    u += w * R.sum(axis=0)
+    for k in range(len(x)):
+        u += x[k] * P[k]
+        u += c[k] * g[k]
+    return u.sum(axis=1)
 
 
 def triangle_velocity(xf, frame: TriangleFrame, f0, f1, f2, params: KernelParams):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .geometry import TriMesh
-from .kernel import KernelParams, _corner_terms, _velocity_blocks, point_stokeslet
+from .kernel import KernelParams, _velocity, _velocity_blocks, point_stokeslet
 
 __all__ = [
     "evaluate_velocity",
@@ -46,6 +46,14 @@ __all__ = [
 # blocks and their temporaries small: the peak of traced memory of an f=4
 # sphere solve is 7.2 MB with 4096-pair chunks, 10.5 MB with 8192-pair ones.
 _CHUNK_PAIRS = 4096
+
+
+def _point_slabs(num_points, most):
+    """Equal slabs of consecutive points, as slices, of at most `most`
+    points each."""
+    num_slabs = -(-num_points // max(1, most))
+    size = max(1, -(-num_points // max(1, num_slabs)))  # 1 for no points
+    return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
 
 
 def _face_chunks(num_faces, num_points):
@@ -79,67 +87,65 @@ def _as_center(center) -> np.ndarray:
     return center
 
 
-def _evaluate(mesh: TriMesh, corner_forces, points, params: KernelParams):
-    """Velocity at points, shape (M, 3), from the forces at each face corner,
-    shape (F, 3, 3): face, corner, xyz."""
+def _evaluate(mesh: TriMesh, basis_forces, points, params: KernelParams,
+              constant=False):
+    """Velocity at points, shape (M, 3), from the force of each face's basis
+    functions, shape (F, K, 3): face, basis (the corners, or with `constant`
+    the face), xyz."""
     params.validate_for_mesh(mesh)
     pts = _as_points(points)
     u = np.zeros((3, len(pts)))
-    for chunk in _face_chunks(mesh.num_faces, len(pts)):
-        c, x0, v, w, pqr = _corner_terms(pts, mesh.frames.select(chunk), params)
-        g = corner_forces[chunk].transpose(1, 2, 0)[..., None]  # corner, xyz, F, 1
-        # p.g, q.g and r.g of each corner, then summed over the corners
-        pqr_g = pqr[:, :, 0] * g[:, None, 0]
-        pqr_g += pqr[:, :, 1] * g[:, None, 1]
-        pqr_g += pqr[:, :, 2] * g[:, None, 2]
-        pqr_g = pqr_g[0] + pqr_g[1] + pqr_g[2]
-        u_faces = c[0] * g[0] + c[1] * g[1] + c[2] * g[2]
-        u_faces += x0 * pqr_g[0]
-        u_faces += v * pqr_g[1]
-        u_faces += w * pqr_g[2]
-        u += u_faces.sum(axis=1)
+    # slabs of up to _CHUNK_PAIRS points, one face a call once there are
+    # more than half that many: at 6000 points around an f=2 sphere, a call
+    # over 4096 points of one face took 540 ns a pair, one over 256 points
+    # of 16 faces 704 ns (2-core KVM host)
+    for slab in _point_slabs(len(pts), _CHUNK_PAIRS):
+        for chunk in _face_chunks(mesh.num_faces, slab.stop - slab.start):
+            u[:, slab] += _velocity(pts[slab], mesh.frames.select(chunk),
+                                    basis_forces[chunk], params, constant)
     return np.ascontiguousarray(u.T)
 
 
-def _assemble(mesh: TriMesh, points, corner_unknowns, num_unknowns: int,
-              params: KernelParams) -> np.ndarray:
+def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
+              params: KernelParams, constant=False) -> np.ndarray:
     """Dense matrix mapping stacked unknown forces to the velocities at
-    points; corner_unknowns, shape (F, 3), holds the unknown that carries the
-    force at each face corner."""
+    points; basis_unknowns, shape (F, K), holds the unknown that carries the
+    force of each face's basis functions (the corners, or with `constant`
+    the face)."""
     params.validate_for_mesh(mesh)
     m = len(points)
-    # equal slabs of at most _CHUNK_PAIRS // 16 points, so that each kernel
-    # call on a slab still spans 16 faces or more
-    num_slabs = -(-m // max(1, _CHUNK_PAIRS // 16))
-    slab = -(-m // num_slabs)
+    # slabs of at most _CHUNK_PAIRS // 16 points, so that each kernel call
+    # on a slab still spans 16 faces or more
+    slabs = _point_slabs(m, _CHUNK_PAIRS // 16)
     # one slab's accumulator, reused: unknown, force component, velocity
     # component, point; each block adds along contiguous runs of points
-    acc = np.empty((num_unknowns, 3, 3, slab))
+    acc = np.empty((num_unknowns, 3, 3, slabs[0].stop))
     A = None
-    for p0 in range(0, m, slab):
-        ms = min(slab, m - p0)
+    for slab in slabs:
+        ms = slab.stop - slab.start
         part = acc[..., :ms]
         part.fill(0.0)
         for chunk in _face_chunks(mesh.num_faces, ms):
-            blocks = _velocity_blocks(points[p0:p0 + ms], mesh.frames.select(chunk),
-                                      params)
-            by_face = blocks.transpose(3, 0, 2, 1, 4)  # face, corner, j, i, point
+            blocks = _velocity_blocks(points[slab], mesh.frames.select(chunk),
+                                      params, constant)
+            by_face = blocks.transpose(3, 0, 2, 1, 4)  # face, basis, j, i, point
             # one face at a time: a chunk may repeat an unknown, and a
             # fancy-indexed += would keep only one of the repeated contributions
-            for p, unknowns in enumerate(corner_unknowns[chunk]):
+            for p, unknowns in enumerate(basis_unknowns[chunk]):
                 for j, Mk in zip(unknowns, by_face[p]):
                     part[j] += Mk
         if A is None:  # not beside the kernel's temporaries in a one-slab run
             A = np.empty((3 * m, 3 * num_unknowns))
         # rows (point, velocity component), columns (unknown, force component)
-        A[3 * p0:3 * (p0 + ms)].reshape(ms, 3, num_unknowns, 3)[...] = (
+        A[3 * slab.start:3 * slab.stop].reshape(ms, 3, num_unknowns, 3)[...] = (
             part.transpose(3, 2, 0, 1))
     return A
 
 
 def _own_face(mesh: TriMesh) -> np.ndarray:
-    """Each face's own index at its three corners, shape (F, 3)."""
-    return np.repeat(np.arange(mesh.num_faces)[:, None], 3, axis=1)
+    """Each face's own index, the unknown of its constant density, shape
+    (F, 1)."""
+    return np.arange(mesh.num_faces)[:, None]
 
 
 def evaluate_velocity(mesh: TriMesh, forces, points, params: KernelParams) -> np.ndarray:
@@ -276,10 +282,10 @@ def baseline_mrs_velocity(mesh: TriMesh, forces, points, params: KernelParams):
 def constant_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
     """3F x 3F matrix mapping per-face constant forces to centroid velocities."""
     return _assemble(mesh, mesh.face_centroids(), _own_face(mesh), mesh.num_faces,
-                     params)
+                     params, constant=True)
 
 
 def constant_evaluate_velocity(mesh: TriMesh, face_forces, points,
                                params: KernelParams) -> np.ndarray:
     face_forces = _as_rows(face_forces, mesh.num_faces, "face_forces")
-    return _evaluate(mesh, face_forces[_own_face(mesh)], points, params)
+    return _evaluate(mesh, face_forces[:, None], points, params, constant=True)

@@ -245,12 +245,22 @@ def test_vertex_copy_rejected_exactly_within_tolerance(make, direction):
                 TriMesh(verts, mesh.faces)
 
 
-@pytest.mark.parametrize("far", [[1e200, 0, 0], [-1e308, 0, 0]])
-def test_mesh_whose_diagonal_overflows_rejected(far):
-    # the tolerance 1e-12 * inf holds every pair of vertices
-    verts = np.array([[1e308, 0, 0], [0, 1e200, 0], far])
-    with np.errstate(over="ignore"), pytest.raises(MeshFormatError, match="duplicate"):
+@pytest.mark.parametrize("far", [1e76, 1e100, 1e200, 1e308, -1e308])
+def test_mesh_with_too_large_coordinates_rejected(far):
+    # past 1e75 the frames' |n|**2 ~ L**4 overflows (from about 1e77), and
+    # from about 1e154 so does the duplicate tolerance; the suite turns the
+    # RuntimeWarning of an overflow into an error, so none may happen first
+    verts = np.array([[0, 1.0, 0], [0, 0, 1.0], [far, 0, 0]])
+    with pytest.raises(MeshFormatError, match="coordinate beyond"):
         TriMesh(verts, [[0, 1, 2]])
+    with pytest.raises(MeshFormatError, match="coordinate beyond"):
+        TriMesh(np.array([[1e308, 0, 0], [0, 1e200, 0], [far, 0, 0]]), [[0, 1, 2]])
+
+
+def test_mesh_at_the_coordinate_limit_builds():
+    verts = 1e75 * np.array([[1.0, -1, 0], [-1, 1, 1], [1, 1, -1]])
+    mesh = TriMesh(verts, [[0, 1, 2]])
+    assert np.all(np.isfinite(mesh.frames.BH)) and np.all(mesh.frames.BH > 0)
 
 
 def test_mesh_construction_imports_no_scipy(tmp_path):

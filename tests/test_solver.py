@@ -79,21 +79,23 @@ def test_system_size_f8():
 @pytest.mark.parametrize("budget", [pytest.param(None, id="default"),
                                     pytest.param(128, id="small")])
 def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch):
-    # f=3 (92 vertices, 180 faces): chunks of faces that share unknowns; the
-    # small budget also splits the points into slabs of at most 8
+    # f=3 (92 vertices, 180 faces): chunks of faces that share unknowns
+    # (linear elements; a constant density is one unknown of its face
+    # alone); the small budget also splits the points into slabs of at most 8
     mesh = make_icosphere(3)
     params = KernelParams(eps=1e-3)
-    if elements == "linear":
-        assemble, points, unknowns = assemble_resistance, mesh.vertices, mesh.faces
-    else:
+    constant = elements == "constant"
+    if constant:
         assemble, points, unknowns = (constant_assemble_resistance,
                                       mesh.face_centroids(), _own_face(mesh))
+    else:
+        assemble, points, unknowns = assemble_resistance, mesh.vertices, mesh.faces
     default = assemble(mesh, params)
     calls = []
 
-    def recorded(xf, frame, kp):
+    def recorded(xf, frame, kp, constant):
         calls.append((len(xf), len(frame.BH)))
-        return _velocity_blocks(xf, frame, kp)
+        return _velocity_blocks(xf, frame, kp, constant)
 
     if budget is not None:
         monkeypatch.setattr(solver, "_CHUNK_PAIRS", budget)
@@ -103,14 +105,16 @@ def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch)
     assert (slab < len(points)) == (budget is not None)
     assert faces == min(mesh.num_faces, solver._CHUNK_PAIRS // slab)
     first = unknowns[:faces]
-    assert len(first) < mesh.num_faces and len(np.unique(first)) < first.size
+    assert len(first) < mesh.num_faces
+    assert (len(np.unique(first)) < first.size) != constant
     assert sum(m * f for m, f in calls) == len(points) * mesh.num_faces
     assert np.array_equal(A, default)
 
     n = unknowns.max() + 1
     stacked = np.zeros((len(points), 3, n, 3))
     for p, face_unknowns in enumerate(unknowns):
-        blocks = _velocity_blocks(points, mesh.frames.select(slice(p, p + 1)), params)
+        blocks = _velocity_blocks(points, mesh.frames.select(slice(p, p + 1)), params,
+                                  constant)
         for j, Mk in zip(face_unknowns, blocks):
             stacked[:, :, j, :] += Mk[:, :, 0].transpose(2, 0, 1)
     stacked = stacked.reshape(3 * len(points), 3 * n)
@@ -136,15 +140,9 @@ def _jittered_sphere(f, rng):
     return _jittered(make_icosphere(f), rng)
 
 
-@pytest.mark.parametrize("elements", ["linear", "constant"])
-@settings(max_examples=12, deadline=None)
-@given(f=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
-       log_eps=st.floats(-4.0, -1.0))
-def test_assembled_matrix_matches_evaluation_on_random_meshes(elements, f, seed,
-                                                              log_eps):
-    rng = np.random.default_rng(seed)
-    mesh, _ = _jittered_sphere(f, rng)
-    params = KernelParams(eps=10.0**log_eps)
+def _assert_matrix_matches_evaluation(elements, mesh, params, rng):
+    """A.f against the directly evaluated velocity at the collocation points,
+    for random forces, to 1e-12."""
     if elements == "linear":
         forces = rng.normal(size=(mesh.num_vertices, 3))
         A = assemble_resistance(mesh, params)
@@ -156,6 +154,67 @@ def test_assembled_matrix_matches_evaluation_on_random_meshes(elements, f, seed,
     via_matrix = (A @ forces.reshape(-1)).reshape(-1, 3)
     np.testing.assert_allclose(via_matrix, direct, rtol=1e-12,
                                atol=1e-12 * np.abs(direct).max())
+
+
+@pytest.mark.parametrize("elements", ["linear", "constant"])
+@settings(max_examples=12, deadline=None)
+@given(f=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       log_eps=st.floats(-4.0, -1.0))
+def test_assembled_matrix_matches_evaluation_on_random_meshes(elements, f, seed,
+                                                              log_eps):
+    rng = np.random.default_rng(seed)
+    mesh, _ = _jittered_sphere(f, rng)
+    _assert_matrix_matches_evaluation(elements, mesh, KernelParams(eps=10.0**log_eps),
+                                      rng)
+
+
+@pytest.mark.parametrize("elements", ["linear", "constant"])
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+def test_assembled_matrix_matches_evaluation_at_small_eps(elements, f, eps):
+    # At eps << h the T moments about corner 0 cancel terms of relative size
+    # h/eps. Each basis block is taken about its own collocation point, so
+    # that cancellation sits in coefficients that assembly and evaluation
+    # share, and the offset is exactly 0 at the collocation points: the two
+    # agree to 1.5e-15 of max|u| or better at h/eps up to 1e7. Constants
+    # taken through the three corner blocks instead of one centroid block
+    # read 3e-12 to 5e-12 of max|u| at 1e-5 and 6e-10 at 1e-7.
+    rng = np.random.default_rng(1000 * f + round(-np.log10(eps)))
+    mesh, _ = _jittered_sphere(f, rng)
+    _assert_matrix_matches_evaluation(elements, mesh, KernelParams(eps=eps), rng)
+
+
+@pytest.mark.parametrize("elements", ["linear", "constant"])
+def test_evaluation_calls_stay_within_the_pair_budget(elements, monkeypatch):
+    # 5000 points: more than _CHUNK_PAIRS, so one face a call, in two slabs
+    mesh = make_icosphere(1)
+    params = KernelParams(eps=1e-2)
+    rng = np.random.default_rng(7)
+    dirs = rng.normal(size=(5000, 3))
+    pts = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    if elements == "linear":
+        evaluate, rows = evaluate_velocity, mesh.num_vertices
+    else:
+        evaluate, rows = constant_evaluate_velocity, mesh.num_faces
+    forces = rng.normal(size=(rows, 3))
+    expected = evaluate(mesh, forces, pts, params)
+    calls = []
+
+    def recorded(xf, frame, *args):
+        calls.append(len(xf) * len(frame.BH))
+        return kernel_velocity(xf, frame, *args)
+
+    def no_blocks(*args):
+        raise AssertionError("evaluation formed velocity blocks")
+
+    kernel_velocity = solver._velocity
+    monkeypatch.setattr(solver, "_velocity", recorded)
+    monkeypatch.setattr(solver, "_velocity_blocks", no_blocks)
+    u = evaluate(mesh, forces, pts, params)
+    assert len(pts) > solver._CHUNK_PAIRS
+    assert max(calls) <= solver._CHUNK_PAIRS
+    assert sum(calls) == len(pts) * mesh.num_faces
+    assert np.array_equal(u, expected)
 
 
 def _longdouble_frames(mesh):

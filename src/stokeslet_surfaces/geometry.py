@@ -181,12 +181,22 @@ class TriMesh:
         return self._frames.centroids()
 
     def transformed(self, rotation=None, translation=None) -> "TriMesh":
-        """Rigidly rotate and/or translate the mesh."""
+        """Rigidly rotate and/or translate the mesh. `rotation` must be a
+        finite 3x3 matrix R with R^T R = I to 1e-12 and det R > 0, so that
+        faces keep their winding, and `translation` one finite 3-vector;
+        anything else raises ValueError."""
         v = self.vertices
         if rotation is not None:
-            v = v @ np.asarray(rotation, dtype=float).T
+            R = np.asarray(rotation, dtype=float)
+            if (R.shape != (3, 3) or not np.all(np.isfinite(R))
+                    or np.abs(R.T @ R - np.eye(3)).max() > 1e-12 or np.linalg.det(R) <= 0):
+                raise ValueError(f"rotation must be a proper 3x3 rotation matrix, got {R!r}")
+            v = v @ R.T
         if translation is not None:
-            v = v + np.asarray(translation, dtype=float)
+            t = np.asarray(translation, dtype=float)
+            if t.shape != (3,) or not np.all(np.isfinite(t)):
+                raise ValueError(f"translation must be one finite 3-vector, got {t!r}")
+            v = v + t
         return TriMesh(v, self.faces)
 
     def merged_with(self, other: "TriMesh") -> "TriMesh":

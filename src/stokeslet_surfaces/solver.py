@@ -41,19 +41,11 @@ __all__ = [
 ]
 
 
-# Face-point pairs per kernel call. Chunks amortize the per-call overhead
-# over several faces; a bound this small keeps the (3, 3, 3, faces, points)
-# blocks and their temporaries small: the peak of traced memory of an f=4
-# sphere solve is 7.2 MB with 4096-pair chunks, 10.5 MB with 8192-pair ones.
+# Face-point pairs per kernel call, one face at least. Chunks amortize the
+# per-call overhead over several faces; this bound keeps assembly's blocks
+# small: the traced peak of an f=4 sphere solve is 7.2 MB with 4096-pair
+# chunks, 10.5 MB with 8192-pair ones. Evaluation's calls hold every point.
 _CHUNK_PAIRS = 4096
-
-
-def _point_slabs(num_points, most):
-    """Equal slabs of consecutive points, as slices, of at most `most`
-    points each."""
-    num_slabs = -(-num_points // max(1, most))
-    size = max(1, -(-num_points // max(1, num_slabs)))  # 1 for no points
-    return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
 
 
 def _face_chunks(num_faces, num_points):
@@ -95,15 +87,20 @@ def _evaluate(mesh: TriMesh, basis_forces, points, params: KernelParams,
     params.validate_for_mesh(mesh)
     pts = _as_points(points)
     u = np.zeros((3, len(pts)))
-    # slabs of up to _CHUNK_PAIRS points, one face a call once there are
-    # more than half that many: at 6000 points around an f=2 sphere, a call
-    # over 4096 points of one face took 540 ns a pair, one over 256 points
-    # of 16 faces 704 ns (2-core KVM host)
-    for slab in _point_slabs(len(pts), _CHUNK_PAIRS):
-        for chunk in _face_chunks(mesh.num_faces, slab.stop - slab.start):
-            u[:, slab] += _velocity(pts[slab], mesh.frames.select(chunk),
-                                    basis_forces[chunk], params, constant)
+    # each call takes every point, so one face beyond _CHUNK_PAIRS points;
+    # its memory grows with them (traced peak 2.9 MB at 6000 points)
+    for chunk in _face_chunks(mesh.num_faces, len(pts)):
+        u += _velocity(pts, mesh.frames.select(chunk), basis_forces[chunk],
+                       params, constant)
     return np.ascontiguousarray(u.T)
+
+
+def _point_slabs(num_points, most):
+    """Equal slabs of consecutive points of at most `most` each, as slices;
+    only `_assemble` slabs its points, to bound its accumulator."""
+    num_slabs = -(-num_points // max(1, most))
+    size = max(1, -(-num_points // max(1, num_slabs)))  # 1 for no points
+    return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
 
 
 def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,

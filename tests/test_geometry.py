@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 import stokeslet_surfaces
 
@@ -263,6 +264,19 @@ def test_mesh_at_the_coordinate_limit_builds():
     assert np.all(np.isfinite(mesh.frames.BH)) and np.all(mesh.frames.BH > 0)
 
 
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded once `code` has run in a fresh interpreter
+    that imports the package from this source tree."""
+    code += """
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(stokeslet_surfaces.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
 def test_mesh_construction_imports_no_scipy(tmp_path):
     code = """
 import sys
@@ -273,13 +287,65 @@ moved = mesh.transformed(rotation=[[0, -1, 0], [1, 0, 0], [0, 0, 1]],
 pair = mesh.merged_with(moved)
 ss.write_mesh(pair, sys.argv[1])
 assert ss.read_mesh(sys.argv[1]).num_vertices == pair.num_vertices
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    src = str(Path(stokeslet_surfaces.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "pair.mesh")],
-                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _scipy_modules_after(code, str(tmp_path / "pair.mesh")) == "[]"
+
+
+def test_solves_and_evaluations_import_no_scipy():
+    # assembly, a drag solve, the squirmer swimmer, evaluation at more than
+    # 4096 points and the constant elements, with numpy alone
+    code = """
+import sys
+import numpy as np
+import stokeslet_surfaces as ss
+from stokeslet_surfaces.studies import _squirmer_slip
+mesh = ss.make_icosphere(2)
+params = ss.KernelParams(eps=1e-2)
+A = ss.assemble_resistance(mesh, params)
+forces = ss.solve_resistance(mesh, np.tile([1.0, 0.0, 0.0], (mesh.num_vertices, 1)),
+                             params, matrix=A)
+swimmer = ss.solve_swimmer(mesh, _squirmer_slip(mesh), params, center=np.zeros(3))
+dirs = np.random.default_rng(0).normal(size=(5000, 3))
+points = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+u = ss.evaluate_velocity(mesh, forces, points, params)
+C = ss.constant_assemble_resistance(mesh, params)
+u_constant = ss.constant_evaluate_velocity(mesh, np.ones((mesh.num_faces, 3)), points,
+                                           params)
+assert all(np.all(np.isfinite(a)) for a in
+           (A, forces, swimmer.forces, swimmer.U, u, C, u_constant))
+"""
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_transformed_keeps_rigid_motions():
+    mesh = make_icosphere(1)
+    Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    Q[:, 0] *= np.sign(np.linalg.det(Q))
+    quarter_turn = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    scipy_rotation = Rotation.from_rotvec([0.3, -1.2, 0.5]).as_matrix()
+    for rotation in (Q, quarter_turn, scipy_rotation):
+        moved = mesh.transformed(rotation=rotation, translation=(1.0, 2.0, 3.0))
+        R = np.asarray(rotation, dtype=float)
+        assert np.array_equal(moved.vertices, mesh.vertices @ R.T + (1.0, 2.0, 3.0))
+        # the winding stays outward: nhat points away from the moved center
+        radial = moved.face_centroids() - (1.0, 2.0, 3.0)
+        assert np.all(np.einsum("fi,fi->f", moved.frames.nhat, radial) > 0)
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param("rotation", np.diag([2.0, 1.0, 1.0]), id="stretch"),
+    pytest.param("rotation", np.diag([-1.0, 1.0, 1.0]), id="mirror"),
+    pytest.param("rotation", np.eye(2), id="2x2"),
+    pytest.param("rotation", np.full((3, 3), np.nan), id="nan"),
+    pytest.param("translation", np.ones((42, 3)), id="per-vertex"),
+    pytest.param("translation", (1.0, 2.0), id="2-vector"),
+    pytest.param("translation", (1.0, np.inf, 0.0), id="inf"),
+])
+def test_transformed_rejects_non_rigid_input(name, value):
+    # a stretch deforms the mesh, a mirror turns its normals inward, and an
+    # (N, 3) translation moves each vertex its own way
+    with pytest.raises(ValueError, match=name):
+        make_icosphere(1).transformed(**{name: value})
 
 
 def test_spheroid_vertices_on_surface():

@@ -185,36 +185,54 @@ def test_assembled_matrix_matches_evaluation_at_small_eps(elements, f, eps):
 
 
 @pytest.mark.parametrize("elements", ["linear", "constant"])
-def test_evaluation_calls_stay_within_the_pair_budget(elements, monkeypatch):
-    # 5000 points: more than _CHUNK_PAIRS, so one face a call, in two slabs
+def test_evaluation_calls_the_kernel_once_per_face_chunk(elements, monkeypatch):
+    # One call per _face_chunks(F, M) chunk, each at all M points: one face
+    # a call at 5000 > _CHUNK_PAIRS points, _CHUNK_PAIRS // M faces a call
+    # (the last chunk fewer) at 300. u matches the kernel summed over two
+    # point halves, as slabs of points would sum it, to 2e-15 of max|u|: on
+    # this f=1 mesh bit-identical at 5000 to 7200 points, and within 8.3e-16
+    # at 4097, where the SIMD tails of log and arctan2 fall at other points.
     mesh = make_icosphere(1)
     params = KernelParams(eps=1e-2)
     rng = np.random.default_rng(7)
-    dirs = rng.normal(size=(5000, 3))
-    pts = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
     if elements == "linear":
         evaluate, rows = evaluate_velocity, mesh.num_vertices
     else:
         evaluate, rows = constant_evaluate_velocity, mesh.num_faces
     forces = rng.normal(size=(rows, 3))
-    expected = evaluate(mesh, forces, pts, params)
-    calls = []
-
-    def recorded(xf, frame, *args):
-        calls.append(len(xf) * len(frame.BH))
-        return kernel_velocity(xf, frame, *args)
+    kernel_velocity = solver._velocity
 
     def no_blocks(*args):
         raise AssertionError("evaluation formed velocity blocks")
 
-    kernel_velocity = solver._velocity
-    monkeypatch.setattr(solver, "_velocity", recorded)
-    monkeypatch.setattr(solver, "_velocity_blocks", no_blocks)
-    u = evaluate(mesh, forces, pts, params)
-    assert len(pts) > solver._CHUNK_PAIRS
-    assert max(calls) <= solver._CHUNK_PAIRS
-    assert sum(calls) == len(pts) * mesh.num_faces
-    assert np.array_equal(u, expected)
+    for num_points in (5000, 300):
+        dirs = rng.normal(size=(num_points, 3))
+        pts = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        half = num_points // 2
+        halves = np.vstack([evaluate(mesh, forces, pts[:half], params),
+                            evaluate(mesh, forces, pts[half:], params)])
+        calls = []
+
+        def recorded(xf, frame, *args):
+            calls.append((xf, frame.y0))
+            return kernel_velocity(xf, frame, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_velocity", recorded)
+            patch.setattr(solver, "_velocity_blocks", no_blocks)
+            u = evaluate(mesh, forces, pts, params)
+        faces = [len(y0) for _, y0 in calls]
+        if num_points > solver._CHUNK_PAIRS:
+            assert faces == [1] * mesh.num_faces
+        else:
+            step = solver._CHUNK_PAIRS // num_points
+            assert faces[:-1] == [step] * (len(faces) - 1)
+            assert 1 <= faces[-1] <= step
+        # each face-point pair exactly once: every call at all the points,
+        # the faces in order and each once
+        assert all(np.array_equal(xf, pts) for xf, _ in calls)
+        assert np.array_equal(np.vstack([y0 for _, y0 in calls]), mesh.frames.y0)
+        assert np.abs(u - halves).max() <= 2e-15 * np.abs(u).max()
 
 
 def _longdouble_frames(mesh):

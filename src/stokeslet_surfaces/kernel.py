@@ -19,7 +19,8 @@ stacked side axis (`_sides`), which yields each side's segment integrals
 and its term of the T[0,0,1] contour sum. The side lengths, directions and
 outward normals come with the frame.
 
-All functions here are pure and broadcast over a chunk of F faces (one
+All functions here are pure, apart from writing into a block the caller
+passes (below), and broadcast over a chunk of F faces (one
 struct-of-arrays TriangleFrame) times a batch of M field points. Scalars
 have shape (F, M); vectors are component-major, (3, F, M), and blocks
 (3, 3, F, M), so that every array operation runs over contiguous F*M runs.
@@ -27,7 +28,11 @@ Each basis function's block has rank-3 form about its own collocation
 point, the corner of a linear hat or the centroid of a constant density,
 with coefficients (`_basis_terms`) that assembly's blocks
 (`_velocity_blocks`) and forward evaluation (`_velocity`) share;
-evaluation contracts them with the forces and forms no 3x3 entry.
+evaluation contracts them with the forces and forms no 3x3 entry. The
+coefficients and the corner offsets, a call's largest arrays, go into a
+flat block (`_coefficient_block`) that the caller allocates once for all
+the calls of an assembly or an evaluation; a call without one allocates
+its own.
 `t_table` and `triangle_velocity` evaluate one face at one point through
 the same path that assembly uses, after the same floor check.
 """
@@ -168,15 +173,15 @@ def _reversed(d0, d1, d2):
 # full T table via the index recursions
 
 
-def _t_table_arrays(xf, frame: TriangleFrame, eps: float):
+def _t_table_arrays(xf, frame: TriangleFrame, eps: float, out=None):
     """All 13 T integrals for F faces and the M field points xf, shape (M, 3),
     values (F, M), and the corner offsets xf - y_j, shape (3, 3, F, M):
-    corner, xyz, face, point."""
+    corner, xyz, face, point, written into `out` if it is given."""
     corners = np.stack([_columns(y) for y in (frame.y0, frame.y1, frame.y2)])
     # corner, xyz, face, point; the points are copied component-major
     # first: at M = 6000 the broadcast subtraction from the strided xf.T
     # takes about five times as long as the copy and subtraction together
-    x = np.ascontiguousarray(xf.T)[None, :, None, :] - corners
+    x = np.subtract(np.ascontiguousarray(xf.T)[None, :, None, :], corners, out=out)
     sq = x * x
     eps2 = eps * eps
     R = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + eps2)
@@ -302,7 +307,18 @@ def _shift(t, sigma, tau):
         tXv -= times(sigma, tE)
 
 
-def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False):
+def _coefficient_block(num_pairs, constant=False, dtype=float):
+    """Flat room for the coefficients t, shape (K, 7, F, M), and the corner
+    offsets x, shape (3, 3, F, M), of a kernel call on up to num_pairs = F M
+    face-point pairs: a call's largest arrays. A caller that makes many
+    calls passes one block to each, so that the calls do not give the heap
+    back to the system and fault it in again (README, "Frames, kernel
+    shapes and chunking")."""
+    return np.empty(((1 if constant else 3) * 7 + 9) * num_pairs, dtype=dtype)
+
+
+def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False,
+                 block=None):
     """Each basis function's block of F faces at the M points xf in rank-3 form.
 
     The bases are the three corner hats of the linear density, each taken
@@ -315,17 +331,27 @@ def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False)
     edges y0 - y1 and y1 - y2, shape (3, F, 1); and s, shape (F, 1), is the
     area Jacobian BH times the prefactor 1/(8 pi mu).
 
+    The coefficients t, of which S is a view, and x are written into
+    `block` (from `_coefficient_block`), or into a new one without it.
+
     The T moments about corner 0 carry a large cancellation at eps << h.
     The shift to each collocation point takes it once, in coefficients that
     assembly and evaluation share, and at a collocation point x[k] is
     exactly 0, so assembled and evaluated velocities agree to rounding.
     """
-    T, x = _t_table_arrays(xf, frame, params.eps)
-    t = np.empty((1 if constant else 3, 7) + x.shape[2:], dtype=x.dtype)
+    K, F, M = 1 if constant else 3, len(frame.BH), len(xf)
+    if block is None:
+        block = _coefficient_block(F * M, constant, np.result_type(xf, frame.y0))
+    t = block[:K * 7 * F * M].reshape(K, 7, F, M)
+    x = block[K * 7 * F * M:(K * 7 + 9) * F * M].reshape(3, 3, F, M)
+    T, x = _t_table_arrays(xf, frame, params.eps, out=x)
     if constant:  # the three hats sum to one: the f0 basis
         for i, key in enumerate(_BASIS_KEYS[0]):
             t[0, i] = T[key]
-        x = (np.ascontiguousarray(xf.T)[:, None, :] - _columns(frame.centroids()))[None]
+        # the centroid offsets replace the corner ones, which the T table
+        # has used up
+        x = np.subtract(np.ascontiguousarray(xf.T)[:, None, :],
+                        _columns(frame.centroids()), out=x[:1])
         shifts = ((2.0 / 3.0, 1.0 / 3.0),)  # the centroid
     else:
         for i, (key0, key_a, key_b) in enumerate(zip(*_BASIS_KEYS)):
@@ -344,12 +370,13 @@ def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False)
     return c, t[:, 1:], x, v, w, s
 
 
-def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, constant=False):
+def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, constant=False,
+                     block=None):
     """Per basis function, face and point the 3x3 matrix M_k with u = sum
     over k of M_k g_k, shape (K, 3, 3, F, M): basis (the corners 0, 1, 2,
     or with `constant` the face), velocity component, force component,
-    face, point."""
-    c, S, x, v, w, s = _basis_terms(xf, frame, params, constant)
+    face, point. `block` is passed to `_basis_terms`."""
+    c, S, x, v, w, s = _basis_terms(xf, frame, params, constant, block)
     c *= s
     S *= s
     # the vectors p_k, q_k, r_k of S_k [x_k v w]^T, shape (K, 3, 3, F, M)
@@ -369,17 +396,18 @@ def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, constant=Fa
     return blocks
 
 
-def _velocity(xf, frame: TriangleFrame, forces, params: KernelParams, constant=False):
+def _velocity(xf, frame: TriangleFrame, forces, params: KernelParams, constant=False,
+              block=None):
     """Velocity at the M points xf, shape (3, M), summed over the F faces of
     the frame, from the force of each face's basis functions, shape
-    (F, K, 3).
+    (F, K, 3). `block` is passed to `_basis_terms`.
 
     Each block is contracted with its scaled force g_k = s f_k before any
     3x3 entry is formed: with X = x_k . g_k, V = v . g_k and W = w . g_k,
     the rows of S_k (X, V, W) give P_k, Q_k and R_k, and
     u = sum over k of (c_k g_k + x_k P_k) + v sum Q_k + w sum R_k.
     """
-    c, S, x, v, w, s = _basis_terms(xf, frame, params, constant)
+    c, S, x, v, w, s = _basis_terms(xf, frame, params, constant, block)
     g = s * forces.transpose(1, 2, 0)[..., None]  # basis, xyz, face, 1
     X, V, W = (_dot(a, g.swapaxes(0, 1)) for a in (x.swapaxes(0, 1), v, w))
     P, Q, R = (S[:, i0] * X + S[:, i1] * V + S[:, i2] * W for i0, i1, i2 in _S_ROWS)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .geometry import TriMesh
-from .kernel import KernelParams, _velocity, _velocity_blocks, point_stokeslet
+from .kernel import (KernelParams, _coefficient_block, _velocity, _velocity_blocks,
+                     point_stokeslet)
 
 __all__ = [
     "evaluate_velocity",
@@ -44,7 +45,8 @@ __all__ = [
 # Face-point pairs per kernel call, one face at least. Chunks amortize the
 # per-call overhead over several faces; this bound keeps assembly's blocks
 # small: the traced peak of an f=4 sphere solve is 7.2 MB with 4096-pair
-# chunks, 10.5 MB with 8192-pair ones. Evaluation's calls hold every point.
+# chunks, 10.5 MB with 8192-pair ones. A call on a slab of more points
+# holds one face at every point of the slab.
 _CHUNK_PAIRS = 4096
 
 
@@ -53,6 +55,21 @@ def _face_chunks(num_faces, num_points):
     pairs (at least one face)."""
     step = max(1, _CHUNK_PAIRS // max(1, num_points))
     return [slice(start, start + step) for start in range(0, num_faces, step)]
+
+
+def _point_slabs(num_points, most):
+    """Equal slabs of consecutive points of at most `most` each, as slices."""
+    num_slabs = -(-num_points // max(1, most))
+    size = max(1, -(-num_points // max(1, num_slabs)))  # 1 for no points
+    return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
+
+
+def _coefficients(num_faces, slabs, constant):
+    """One coefficient block for all the kernel calls on `slabs`, sized for
+    the largest: the first face chunk of the first slab."""
+    points = slabs[0].stop - slabs[0].start if slabs else 0
+    faces = min(num_faces, _face_chunks(num_faces, points)[0].stop)
+    return _coefficient_block(faces * points, constant)
 
 
 def _as_rows(values, rows, name: str) -> np.ndarray:
@@ -87,20 +104,16 @@ def _evaluate(mesh: TriMesh, basis_forces, points, params: KernelParams,
     params.validate_for_mesh(mesh)
     pts = _as_points(points)
     u = np.zeros((3, len(pts)))
-    # each call takes every point, so one face beyond _CHUNK_PAIRS points;
-    # its memory grows with them (traced peak 2.9 MB at 6000 points)
-    for chunk in _face_chunks(mesh.num_faces, len(pts)):
-        u += _velocity(pts, mesh.frames.select(chunk), basis_forces[chunk],
-                       params, constant)
+    # slabs of at most 2 * _CHUNK_PAIRS points bound the memory of a call,
+    # about 640 B a point of the slab; the studies and the benchmark
+    # evaluate at most 7200 points, one slab
+    slabs = _point_slabs(len(pts), 2 * _CHUNK_PAIRS)
+    block = _coefficients(mesh.num_faces, slabs, constant)
+    for slab in slabs:
+        for chunk in _face_chunks(mesh.num_faces, slab.stop - slab.start):
+            u[:, slab] += _velocity(pts[slab], mesh.frames.select(chunk),
+                                    basis_forces[chunk], params, constant, block)
     return np.ascontiguousarray(u.T)
-
-
-def _point_slabs(num_points, most):
-    """Equal slabs of consecutive points of at most `most` each, as slices;
-    only `_assemble` slabs its points, to bound its accumulator."""
-    num_slabs = -(-num_points // max(1, most))
-    size = max(1, -(-num_points // max(1, num_slabs)))  # 1 for no points
-    return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
 
 
 def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
@@ -114,6 +127,7 @@ def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
     # slabs of at most _CHUNK_PAIRS // 16 points, so that each kernel call
     # on a slab still spans 16 faces or more
     slabs = _point_slabs(m, _CHUNK_PAIRS // 16)
+    block = _coefficients(mesh.num_faces, slabs, constant)
     # one slab's accumulator, reused: unknown, force component, velocity
     # component, point; each block adds along contiguous runs of points
     acc = np.empty((num_unknowns, 3, 3, slabs[0].stop))
@@ -124,7 +138,7 @@ def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
         part.fill(0.0)
         for chunk in _face_chunks(mesh.num_faces, ms):
             blocks = _velocity_blocks(points[slab], mesh.frames.select(chunk),
-                                      params, constant)
+                                      params, constant, block)
             by_face = blocks.transpose(3, 0, 2, 1, 4)  # face, basis, j, i, point
             # one face at a time: a chunk may repeat an unknown, and a
             # fancy-indexed += would keep only one of the repeated contributions

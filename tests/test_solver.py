@@ -1,4 +1,10 @@
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +35,7 @@ from stokeslet_surfaces import (
     triangle_velocity,
     TriMesh,
 )
-from stokeslet_surfaces import solver
+from stokeslet_surfaces import kernel, solver
 from stokeslet_surfaces.studies import B1
 from stokeslet_surfaces.solver import _own_face, _velocity_blocks, _vertex_moments
 
@@ -93,9 +99,9 @@ def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch)
     default = assemble(mesh, params)
     calls = []
 
-    def recorded(xf, frame, kp, constant):
+    def recorded(xf, frame, *args):
         calls.append((len(xf), len(frame.BH)))
-        return _velocity_blocks(xf, frame, kp, constant)
+        return _velocity_blocks(xf, frame, *args)
 
     if budget is not None:
         monkeypatch.setattr(solver, "_CHUNK_PAIRS", budget)
@@ -110,6 +116,13 @@ def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch)
     assert sum(m * f for m, f in calls) == len(points) * mesh.num_faces
     assert np.array_equal(A, default)
 
+    stacked = _one_face_matrix(mesh, points, unknowns, params, constant)
+    assert np.abs(A - stacked).max() <= 1e-13 * np.abs(stacked).max()
+
+
+def _one_face_matrix(mesh, points, unknowns, params, constant):
+    """The assembled matrix from one kernel call per face at all the points,
+    the faces added in order."""
     n = unknowns.max() + 1
     stacked = np.zeros((len(points), 3, n, 3))
     for p, face_unknowns in enumerate(unknowns):
@@ -117,8 +130,117 @@ def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch)
                                   constant)
         for j, Mk in zip(face_unknowns, blocks):
             stacked[:, :, j, :] += Mk[:, :, 0].transpose(2, 0, 1)
-    stacked = stacked.reshape(3 * len(points), 3 * n)
-    assert np.abs(A - stacked).max() <= 1e-13 * np.abs(stacked).max()
+    return stacked.reshape(3 * len(points), 3 * n)
+
+
+@pytest.mark.parametrize("elements", ["linear", "constant"])
+def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
+                                                                   monkeypatch):
+    # Each assembly and each evaluation allocates one coefficient block, and
+    # every kernel call of it writes its coefficients and corner offsets
+    # there. Assembly on f=3 in slabs of 8 points and chunks of 16 faces
+    # (a budget of 128 pairs), and evaluation at 5000 points, one face a
+    # call, both equal one kernel call a face, each with a block of its own,
+    # bit for bit.
+    mesh = make_icosphere(3)
+    params = KernelParams(eps=1e-3)
+    constant = elements == "constant"
+    rng = np.random.default_rng(11)
+    if constant:
+        assemble, evaluate = constant_assemble_resistance, constant_evaluate_velocity
+        points, unknowns = mesh.face_centroids(), _own_face(mesh)
+    else:
+        assemble, evaluate = assemble_resistance, evaluate_velocity
+        points, unknowns = mesh.vertices, mesh.faces
+    forces = rng.normal(size=(unknowns.max() + 1, 3))
+    dirs = rng.normal(size=(5000, 3))
+    field = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    basis_terms = kernel._basis_terms
+
+    def writes(run):
+        """The output of run() and the (block, S, x) of each kernel call."""
+        calls = []
+
+        def recorded(xf, frame, kp, constant, block):
+            terms = basis_terms(xf, frame, kp, constant, block)
+            calls.append((block, terms[1], terms[2]))
+            return terms
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_basis_terms", recorded)
+            return run(), calls
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_CHUNK_PAIRS", 128)
+        A, assembly = writes(lambda: assemble(mesh, params))
+    u, evaluation = writes(lambda: evaluate(mesh, forces, field, params))
+    # 11 slabs (constant: 22) of 8 points in 12 chunks, and one of 4 in 6
+    assert len(assembly) == (138 if elements == "linear" else 270)
+    assert len(evaluation) == mesh.num_faces
+    for calls in (assembly, evaluation):
+        first = calls[0][0]
+        assert all(block is first for block, _, _ in calls)
+        assert all(np.shares_memory(S, first) and np.shares_memory(x, first)
+                   for _, S, x in calls)
+
+    assert np.array_equal(A, _one_face_matrix(mesh, points, unknowns, params, constant))
+    basis_forces = forces[:, None] if constant else forces[mesh.faces]
+    one_face = np.zeros((3, len(field)))
+    for p in range(mesh.num_faces):
+        one_face += kernel._velocity(field, mesh.frames.select(slice(p, p + 1)),
+                                     basis_forces[p:p + 1], params, constant)
+    assert np.array_equal(u, one_face.T)
+
+
+def test_evaluation_memory_is_bounded_by_its_slabs():
+    # Points beyond 2 * _CHUNK_PAIRS go in slabs, so a 50 000-point
+    # evaluation on f=1 holds one slab's kernel temporaries and its output:
+    # a traced peak of 5.6 MB, against 23.2 MB with every point in each call.
+    mesh = make_icosphere(1)
+    params = KernelParams(eps=1e-2)
+    rng = np.random.default_rng(5)
+    forces = rng.normal(size=(mesh.num_vertices, 3))
+    dirs = rng.normal(size=(50_000, 3))
+    points = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    tracemalloc.start()
+    try:
+        evaluate_velocity(mesh, forces, points, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the bound is measured with glibc's allocator")
+def test_evaluation_does_not_fault_its_heap_in_again_on_every_call():
+    # A kernel call's largest arrays go into the evaluation's one block.
+    # Allocated anew by each call, they and the T table's temporaries were
+    # given back to the system and faulted in again by every call: 55k
+    # minor page faults an evaluation at 6000 points around an f=2 sphere,
+    # against 0.9k with the block (median of 6 in a fresh process).
+    code = """
+import resource, statistics
+import numpy as np
+import stokeslet_surfaces as ss
+mesh = ss.make_icosphere(2)
+params = ss.KernelParams(eps=1e-2)
+rng = np.random.default_rng(0)
+forces = rng.normal(size=(mesh.num_vertices, 3))
+dirs = rng.normal(size=(6000, 3))
+points = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ss.evaluate_velocity(mesh, forces, points, params)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults))
+"""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert float(out.stdout) < 5000
 
 
 def _rotation(rng):
@@ -186,12 +308,15 @@ def test_assembled_matrix_matches_evaluation_at_small_eps(elements, f, eps):
 
 @pytest.mark.parametrize("elements", ["linear", "constant"])
 def test_evaluation_calls_the_kernel_once_per_face_chunk(elements, monkeypatch):
-    # One call per _face_chunks(F, M) chunk, each at all M points: one face
-    # a call at 5000 > _CHUNK_PAIRS points, _CHUNK_PAIRS // M faces a call
-    # (the last chunk fewer) at 300. u matches the kernel summed over two
-    # point halves, as slabs of points would sum it, to 2e-15 of max|u|: on
-    # this f=1 mesh bit-identical at 5000 to 7200 points, and within 8.3e-16
-    # at 4097, where the SIMD tails of log and arctan2 fall at other points.
+    # The points go in equal slabs of at most 2 * _CHUNK_PAIRS, one slab
+    # up to 8192 points and two of 4500 at 9000. One call per
+    # _face_chunks(F, M) chunk of a slab, each at all M points of the slab:
+    # one face a call at 9000 and 5000 > _CHUNK_PAIRS points,
+    # _CHUNK_PAIRS // M faces a call (the last chunk fewer) at 300. u
+    # matches the kernel summed over two point halves to 2e-15 of max|u|:
+    # on this f=1 mesh bit-identical at 9000 (the halves are the slabs) and
+    # at 5000 to 7200 points, and within 8.3e-16 at 4097, where the SIMD
+    # tails of log and arctan2 fall at other points.
     mesh = make_icosphere(1)
     params = KernelParams(eps=1e-2)
     rng = np.random.default_rng(7)
@@ -205,7 +330,7 @@ def test_evaluation_calls_the_kernel_once_per_face_chunk(elements, monkeypatch):
     def no_blocks(*args):
         raise AssertionError("evaluation formed velocity blocks")
 
-    for num_points in (5000, 300):
+    for num_points in (9000, 5000, 300):
         dirs = rng.normal(size=(num_points, 3))
         pts = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
         half = num_points // 2
@@ -221,17 +346,22 @@ def test_evaluation_calls_the_kernel_once_per_face_chunk(elements, monkeypatch):
             patch.setattr(solver, "_velocity", recorded)
             patch.setattr(solver, "_velocity_blocks", no_blocks)
             u = evaluate(mesh, forces, pts, params)
-        faces = [len(y0) for _, y0 in calls]
-        if num_points > solver._CHUNK_PAIRS:
+        slabs = np.split(pts, -(-num_points // (2 * solver._CHUNK_PAIRS)))
+        per_slab = len(calls) // len(slabs)
+        faces = [len(y0) for _, y0 in calls[:per_slab]]
+        if len(slabs[0]) > solver._CHUNK_PAIRS:
             assert faces == [1] * mesh.num_faces
         else:
             step = solver._CHUNK_PAIRS // num_points
             assert faces[:-1] == [step] * (len(faces) - 1)
             assert 1 <= faces[-1] <= step
-        # each face-point pair exactly once: every call at all the points,
-        # the faces in order and each once
-        assert all(np.array_equal(xf, pts) for xf, _ in calls)
-        assert np.array_equal(np.vstack([y0 for _, y0 in calls]), mesh.frames.y0)
+        # each face-point pair exactly once: slab by slab, every call at all
+        # the points of its slab, the faces in order and each once
+        assert len(calls) == per_slab * len(slabs)
+        for k, slab in enumerate(slabs):
+            group = calls[k * per_slab:(k + 1) * per_slab]
+            assert all(np.array_equal(xf, slab) for xf, _ in group)
+            assert np.array_equal(np.vstack([y0 for _, y0 in group]), mesh.frames.y0)
         assert np.abs(u - halves).max() <= 2e-15 * np.abs(u).max()
 
 

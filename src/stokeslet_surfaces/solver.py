@@ -65,11 +65,13 @@ def _point_slabs(num_points, most):
 
 
 def _coefficients(num_faces, slabs, constant):
-    """One coefficient block for all the kernel calls on `slabs`, sized for
-    the largest: the first face chunk of the first slab."""
+    """One coefficient block for all the kernel calls on `slabs`. A call on
+    a slab of s points holds at most min(F s, max(s, _CHUNK_PAIRS)) pairs,
+    and the first slab is the largest; a smaller last slab may take more
+    faces a call, so the first slab's first chunk is not the bound."""
     points = slabs[0].stop - slabs[0].start if slabs else 0
-    faces = min(num_faces, _face_chunks(num_faces, points)[0].stop)
-    return _coefficient_block(faces * points, constant)
+    return _coefficient_block(min(num_faces * points, max(points, _CHUNK_PAIRS)),
+                              constant)
 
 
 def _as_rows(values, rows, name: str) -> np.ndarray:

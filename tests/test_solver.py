@@ -83,11 +83,14 @@ def test_system_size_f8():
 
 @pytest.mark.parametrize("elements", ["linear", "constant"])
 @pytest.mark.parametrize("budget", [pytest.param(None, id="default"),
-                                    pytest.param(128, id="small")])
+                                    pytest.param(128, id="small"),
+                                    pytest.param(132, id="uneven")])
 def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch):
     # f=3 (92 vertices, 180 faces): chunks of faces that share unknowns
     # (linear elements; a constant density is one unknown of its face
-    # alone); the small budget also splits the points into slabs of at most 8
+    # alone); the small budgets also split the points into slabs of at most
+    # 8. With 132 pairs the last slab, of 4 points, makes larger calls
+    # (33 faces, 132 pairs) than the first slabs (16 faces, 128 pairs)
     mesh = make_icosphere(3)
     params = KernelParams(eps=1e-3)
     constant = elements == "constant"

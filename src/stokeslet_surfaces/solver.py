@@ -67,8 +67,8 @@ def _point_slabs(num_points, most):
 def _coefficients(num_faces, slabs, constant):
     """One coefficient block for all the kernel calls on `slabs`. A call on
     a slab of s points holds at most min(F s, max(s, _CHUNK_PAIRS)) pairs,
-    and the first slab is the largest; a smaller last slab may take more
-    faces a call, so the first slab's first chunk is not the bound."""
+    which grows with s, and the first slab is the largest (a smaller last
+    slab may still make calls of more pairs than the first slab's first)."""
     points = slabs[0].stop - slabs[0].start if slabs else 0
     return _coefficient_block(min(num_faces * points, max(points, _CHUNK_PAIRS)),
                               constant)

@@ -19,6 +19,7 @@ collocated at triangle centroids.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,10 @@ __all__ = [
 
 # Face-point pairs per kernel call, one face at least. Chunks amortize the
 # per-call overhead over several faces; this bound keeps assembly's blocks
-# small: the traced peak of an f=4 sphere solve is 7.2 MB with 4096-pair
-# chunks, 10.5 MB with 8192-pair ones. A call on a slab of more points
-# holds one face at every point of the slab.
+# small: the traced peak of an f=4 sphere solve (one assembly, two
+# resistance solves and a swimmer solve that reuses A) is 5.96 MB with
+# 4096-pair chunks, 9.96 MB with 8192-pair ones. A call on a slab of more
+# points holds one face at every point of the slab.
 _CHUNK_PAIRS = 4096
 
 
@@ -167,9 +169,38 @@ def evaluate_velocity(mesh: TriMesh, forces, points, params: KernelParams) -> np
     return _evaluate(mesh, forces[mesh.faces], points, params)
 
 
+# (mesh, params, A) of the last matrix assemble_resistance returned: weak
+# references to the mesh and A, and the params, a frozen pair of floats, by
+# value so that an equal params object built anew matches. _resistance_matrix
+# reuses A while the caller still holds it.
+_last_assembly = None
+
+
 def assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
-    """Dense 3N x 3N matrix mapping stacked vertex forces to vertex velocities."""
-    return _assemble(mesh, mesh.vertices, mesh.faces, mesh.num_vertices, params)
+    """Dense 3N x 3N matrix mapping stacked vertex forces to vertex velocities.
+
+    Always assembles. The matrix is read-only: while the caller holds it,
+    `solve_resistance` without `matrix=` and `solve_swimmer` on the same mesh
+    object with equal params solve with it instead of assembling again.
+    The mesh and the matrix are referenced weakly, so neither stays alive
+    for that.
+    """
+    global _last_assembly
+    A = _assemble(mesh, mesh.vertices, mesh.faces, mesh.num_vertices, params)
+    A.setflags(write=False)
+    _last_assembly = (weakref.ref(mesh), params, weakref.ref(A))
+    return A
+
+
+def _resistance_matrix(mesh: TriMesh, params: KernelParams) -> np.ndarray:
+    """The last assembled matrix if it is still alive and was assembled for
+    this mesh object with equal params; otherwise a new assembly."""
+    if _last_assembly is not None:
+        mesh_ref, last_params, matrix_ref = _last_assembly
+        A = matrix_ref()
+        if A is not None and mesh_ref() is mesh and last_params == params:
+            return A
+    return assemble_resistance(mesh, params)
 
 
 def _dense_solve(A, b):
@@ -187,10 +218,12 @@ def solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
     """Vertex forces reproducing the prescribed vertex velocities.
 
     Pass a precomputed `matrix` (from assemble_resistance) to amortize assembly
-    across multiple right-hand sides.
+    across multiple right-hand sides. Without it, the solve reuses the matrix
+    assemble_resistance last returned if the caller still holds it and it
+    belongs to the same mesh object and equal params, and assembles otherwise.
     """
     velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
-    A = assemble_resistance(mesh, params) if matrix is None else np.asarray(matrix)
+    A = _resistance_matrix(mesh, params) if matrix is None else np.asarray(matrix)
     size = 3 * mesh.num_vertices
     if A.shape != (size, size):
         raise ValueError(f"matrix must have shape ({size}, {size}), got {A.shape}")
@@ -258,6 +291,9 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
     c = `center`. With R the vertex velocities of the six unit rigid motions
     m = (U, Omega), the forces are A^-1 slip + A^-1 R m, and m solves the
     6 x 6 balance of the net-force and net-torque rows C of those forces.
+    A is the matrix assemble_resistance last returned if the caller still
+    holds it and it belongs to the same mesh object and equal params;
+    otherwise the solve assembles it.
     """
     n = mesh.num_vertices
     slip = _as_rows(slip, n, "slip")
@@ -265,7 +301,7 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
 
     rhs = np.column_stack([slip.reshape(-1), np.tile(np.eye(3), (n, 1)),
                            -_skew(mesh.vertices - c).reshape(3 * n, 3)])
-    Y = _dense_solve(assemble_resistance(mesh, params), rhs)
+    Y = _dense_solve(_resistance_matrix(mesh, params), rhs)
     weights, blocks = _vertex_moments(mesh, c)
     C = np.vstack([np.kron(weights, np.eye(3)),
                    blocks.transpose(1, 0, 2).reshape(3, 3 * n)])

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -703,6 +704,90 @@ def test_swimmer_solves_the_resistance_matrix_and_a_6x6_balance(small_sphere,
                   KernelParams(eps=1e-3), center=np.zeros(3))
     assert assemblies == [small_sphere]
     assert solves == [((n, n), (n, 7)), ((6, 6), (6,))]
+
+
+def _count_assemblies(monkeypatch):
+    """The meshes of the solver._assemble calls from now on; they still run."""
+    meshes = []
+    assemble = solver._assemble
+
+    def counted(mesh, *args, **kwargs):
+        meshes.append(mesh)
+        return assemble(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_assemble", counted)
+    return meshes
+
+
+def _translation(mesh):
+    return np.tile([0.3, -0.2, 1.0], (mesh.num_vertices, 1))
+
+
+def test_sphere_solve_sequence_assembles_once(monkeypatch):
+    # the benchmark's sphere-solve op: two resistance solves with the
+    # assembled matrix, then the squirmer swimmer on the same mesh
+    params = KernelParams(eps=1e-4)
+    mesh = make_icosphere(2)
+    assemblies = _count_assemblies(monkeypatch)
+    A = assemble_resistance(mesh, params)
+    solve_resistance(mesh, _translation(mesh), params, matrix=A)
+    solve_resistance(mesh, np.cross([0.0, 0.0, 1.0], mesh.vertices), params, matrix=A)
+    sol = solve_swimmer(mesh, _squirmer_slip_field(mesh), params, center=np.zeros(3))
+    assert assemblies == [mesh]
+    fresh_mesh = make_icosphere(2)
+    fresh = solve_swimmer(fresh_mesh, _squirmer_slip_field(fresh_mesh), params,
+                          center=np.zeros(3))
+    assert assemblies == [mesh, fresh_mesh]
+    assert np.array_equal(sol.U, fresh.U)
+    assert np.array_equal(sol.Omega, fresh.Omega)
+    assert np.array_equal(sol.forces, fresh.forces)
+
+
+def test_resistance_solve_without_matrix_reuses_the_live_one(monkeypatch):
+    mesh = make_icosphere(2)
+    assemblies = _count_assemblies(monkeypatch)
+    A = assemble_resistance(mesh, KernelParams(eps=1e-3))
+    # equal params need not be the same object
+    forces = solve_resistance(mesh, _translation(mesh), KernelParams(eps=1e-3))
+    assert assemblies == [mesh]
+    assert np.array_equal(
+        forces, solve_resistance(mesh, _translation(mesh), KernelParams(eps=1e-3),
+                                 matrix=A))
+
+
+@pytest.mark.parametrize("change", ["matrix deleted", "other eps", "equal mesh"])
+def test_solve_assembles_again_unless_the_matrix_fits(monkeypatch, change):
+    mesh, params = make_icosphere(2), KernelParams(eps=1e-3)
+    assemblies = _count_assemblies(monkeypatch)
+    A = assemble_resistance(mesh, params)
+    solve_resistance(mesh, _translation(mesh), params)
+    assert len(assemblies) == 1
+    if change == "matrix deleted":
+        del A
+    elif change == "other eps":
+        params = KernelParams(eps=2e-3)
+    else:
+        mesh = make_icosphere(2)
+    solve_resistance(mesh, _translation(mesh), params)
+    assert len(assemblies) == 2
+
+
+def test_assembled_matrix_is_read_only(small_sphere):
+    A = assemble_resistance(small_sphere, KernelParams(eps=1e-2))
+    with pytest.raises(ValueError, match="read-only"):
+        A += 1.0
+
+
+def test_reuse_keeps_nothing_alive(monkeypatch):
+    mesh, params = make_icosphere(2), KernelParams(eps=1e-3)
+    assemblies = _count_assemblies(monkeypatch)
+    A = assemble_resistance(mesh, params)
+    solve_swimmer(mesh, _squirmer_slip_field(mesh), params, center=np.zeros(3))
+    assert len(assemblies) == 1
+    refs = [weakref.ref(A), weakref.ref(mesh)]
+    assemblies.clear()
+    del A, mesh
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_mrs_weights_sum_to_area(small_sphere):

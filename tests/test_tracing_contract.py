@@ -65,3 +65,26 @@ def test_traced_study_solves_report_their_residual():
     solves = [s["attrs"] for s in tracer.spans if s["name"] == tracing.SOLVE_RES]
     assert len(solves) == 3
     assert all(attrs["residual_rel"] < 1e-10 for attrs in solves)
+
+
+def test_traced_sphere_solve_records_one_assembly():
+    # the benchmark's sphere-solve op reuses its matrix in the swimmer solve,
+    # so solver.assemble_calls and kernel.pairs count one assembly
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(enabled=True)
+    instr = tracing.Instrumentation(ss, tracer)
+    mesh, kp = ss.make_icosphere(2), ss.KernelParams(eps=1e-4)
+    try:
+        instr.install()
+        A = ss.assemble_resistance(mesh, kp)
+        for bc in (np.tile([1.0, 0.0, 0.0], (mesh.num_vertices, 1)),
+                   np.cross([0.0, 0.0, 1.0], mesh.vertices)):
+            ss.solve_resistance(mesh, bc, kp, matrix=A)
+        ss.solve_swimmer(mesh, np.cross([0.0, 0.0, 1.0], mesh.vertices), kp,
+                         center=np.zeros(3))
+    finally:
+        instr.restore()
+    names = [s["name"] for s in tracer.spans]
+    assert names.count(tracing.ASSEMBLE) == 1
+    swimmer = names.index(tracing.SWIMMER)
+    assert tracing.ASSEMBLE not in [s["name"] for s in tracer.tree(swimmer)]

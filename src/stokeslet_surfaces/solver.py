@@ -218,9 +218,8 @@ def solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
     """Vertex forces reproducing the prescribed vertex velocities.
 
     Pass a precomputed `matrix` (from assemble_resistance) to amortize assembly
-    across multiple right-hand sides. Without it, the solve reuses the matrix
-    assemble_resistance last returned if the caller still holds it and it
-    belongs to the same mesh object and equal params, and assembles otherwise.
+    across multiple right-hand sides. Without it, the solve reuses a matrix
+    the caller still holds as assemble_resistance describes, or assembles.
     """
     velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
     A = _resistance_matrix(mesh, params) if matrix is None else np.asarray(matrix)
@@ -291,9 +290,7 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
     c = `center`. With R the vertex velocities of the six unit rigid motions
     m = (U, Omega), the forces are A^-1 slip + A^-1 R m, and m solves the
     6 x 6 balance of the net-force and net-torque rows C of those forces.
-    A is the matrix assemble_resistance last returned if the caller still
-    holds it and it belongs to the same mesh object and equal params;
-    otherwise the solve assembles it.
+    A is reused as assemble_resistance describes, or assembled.
     """
     n = mesh.num_vertices
     slip = _as_rows(slip, n, "slip")

@@ -16,8 +16,13 @@ closed-form line-segment integrals along the three sides (R. Cortez,
 J. Comput. Phys. 375 (2018) 783-796). Each call forms the corner offsets
 xf - y_j and distances once and takes all three sides in one pass over a
 stacked side axis (`_sides`), which yields each side's segment integrals
-and its term of the T[0,0,1] contour sum. The side lengths, directions and
-outward normals come with the frame.
+and its term of the T[0,0,1] contour sum. These read the logarithms
+log(u + R) at a side's two ends only through their difference, taken as
+asinh(u1/c) - asinh(u0/c) with c the regularized distance from the side's
+line, which cancels for neither sign of u. The side lengths, directions
+and outward normals come with the frame. No array is divided by a
+per-face one: the reciprocals of the side lengths, of BH and of the index
+recursions' denominators are formed once per call and multiplied in.
 
 All functions here are pure, apart from writing into a block the caller
 passes (below), and broadcast over a chunk of F faces (one
@@ -139,26 +144,27 @@ def _sides(frame: TriangleFrame, x, R, eps):
     """
     R0, R1 = R, R[[1, 2, 0]]
     L = frame.side_L.T[:, :, None]  # side, face, 1
+    inv_L = 1.0 / L
+    inv_Lsq = inv_L * inv_L
     xs = x.swapaxes(0, 1)  # xyz, side (= corner a), face, point
     # e runs from the theta = 1 endpoint (b) back to theta = 0 (a)
     u0 = _dot(xs, frame.side_e.T[..., None])
     u1 = u0 + L
-    P = u0 / L
     # squared distance from the segment line plus eps^2; >= eps^2 > 0
     c2 = np.maximum(R0 * R0 - u0 * u0, eps * eps)
-    # log(u + R), the antiderivative of 1/R in u, with the stable argument
-    # u + R = c2 / (R - u) when u < 0; R + |u| >= eps never cancels
-    Ru0, Ru1 = R0 + np.abs(u0), R1 + np.abs(u1)
-    log0 = np.log(np.where(u0 < 0.0, c2 / Ru0, Ru0))
-    log1 = np.log(np.where(u1 < 0.0, c2 / Ru1, Ru1))
-    del Ru0, Ru1
-    Lsq = L**2
-    s0m1 = ((u1 * R1 + c2 * log1) - (u0 * R0 + c2 * log0)) / (2.0 * L)
-    s0p1 = (log1 - log0) / L
-    s1p1 = (R1 - R0) / Lsq - P * s0p1
-    s2p1 = R1 / Lsq - s0m1 / Lsq - P * s1p1
+    # D = log(u1 + R1) - log(u0 + R0), the antiderivative of 1/R in u
+    # between the ends, as asinh(u1 / c) - asinh(u0 / c): asinh is odd, so
+    # neither end cancels whatever the sign of u, and no select is needed
+    inv_c = 1.0 / np.sqrt(c2)
+    D = np.arcsinh(u1 * inv_c) - np.arcsinh(u0 * inv_c)
+    del inv_c
+    s0m1 = (u1 * R1 - u0 * R0 + c2 * D) * (0.5 * inv_L)
+    s0p1 = D * inv_L
+    P = u0 * inv_L
+    s1p1 = (R1 - R0) * inv_Lsq - P * s0p1
+    s2p1 = (R1 - s0m1) * inv_Lsq - P * s1p1
     S = {(0, -1): s0m1, (0, 1): s0p1, (1, 1): s1p1, (2, 1): s2p1}
-    c001 = _dot(xs, frame.side_n.T[..., None]) * (log0 - log1)  # -xn L s0p1
+    c001 = _dot(xs, -frame.side_n.T[..., None]) * D  # -xn L s0p1
     return S, c001
 
 
@@ -173,10 +179,12 @@ def _reversed(d0, d1, d2):
 # full T table via the index recursions
 
 
-def _t_table_arrays(xf, frame: TriangleFrame, eps: float, out=None):
+def _t_table_arrays(xf, frame: TriangleFrame, eps: float, out=None, constant=False):
     """All 13 T integrals for F faces and the M field points xf, shape (M, 3),
     values (F, M), and the corner offsets xf - y_j, shape (3, 3, F, M):
-    corner, xyz, face, point, written into `out` if it is given."""
+    corner, xyz, face, point, written into `out` if it is given. With
+    `constant`, only the seven integrals of the constant density
+    (`_BASIS_KEYS[0]`)."""
     corners = np.stack([_columns(y) for y in (frame.y0, frame.y1, frame.y2)])
     # corner, xyz, face, point; the points are copied component-major
     # first: at M = 6000 the broadcast subtraction from the strided xf.T
@@ -198,18 +206,24 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float, out=None):
     gBH = gamma * BH
     den = (R[0] * R[1] * R[2] + (_dot(x[0], x[1]) + eps2) * R[2]
            + (_dot(x[0], x[2]) + eps2) * R[1] + (_dot(x[1], x[2]) + eps2) * R[0])
-    T003 = 2.0 * np.arctan2(gBH, den) / gBH
-    T001 = (c001[0] + c001[1] + c001[2] - gamma * gamma * BH * T003) / BH
+    Omega = 2.0 * np.arctan2(gBH, den)
+    T003 = Omega / gBH
+    T001 = (c001[0] + c001[1] + c001[2] - gamma * Omega) * (1.0 / BH)
+    del Omega
 
+    # each step divides by c^2 - 1 and by L1^2, L2^2 or L1 L2, all per face:
+    # their reciprocals are formed once, k11 = 1 / (L1^2 (c^2 - 1)),
+    # k22 = 1 / (L2^2 (c^2 - 1)) and k12 = c / (L1 L2 (c^2 - 1))
     L1, L2 = frame.side_L[:, 0, None], frame.side_L[:, 1, None]
-    L11, L22, L12 = L1**2, L2**2, L1 * L2
     vhat, what = frame.side_e[:, 0], frame.side_e[:, 1]  # along y0 - y1, y1 - y2
     c = _row_dot(vhat[:, None], what)
-    denom = c * c - 1.0
+    inv_denom = 1.0 / (c * c - 1.0)
+    k11, k22, k12 = inv_denom / L1**2, inv_denom / L2**2, c * inv_denom / (L1 * L2)
     x0v = _dot(x[0], _columns(vhat))
     x0w = _dot(x[0], _columns(what))
-    cv = (x0v - c * x0w) / L1
-    cw = (x0w - c * x0v) / L2
+    cv = (x0v - c * x0w) * (inv_denom / L1)
+    cw = (x0w - c * x0v) * (inv_denom / L2)
+    del x0v, x0w
 
     # contour integrals A and B from the sides e1 (y0 -> y1), e2 (y1 -> y2)
     # and d (y2 -> y0), with d' the side d run backwards: A[m, n] =
@@ -221,11 +235,14 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float, out=None):
         return (e2[n] - d_rev[m + n],
                 d_rev[m] - e1[m] if n == 0 else d_rev[m + n])
 
-    # first-index / second-index steps at q = 1 (boundary data at q = -1)
-    s0m1 = seg[(0, -1)]
-    A, B = s0m1[1] - s0m1[2], s0m1[2] - s0m1[0]
-    T101 = (-A / L11 + c * B / L12 + cv * T001) / denom
-    T011 = (-B / L22 + c * A / L12 + cw * T001) / denom
+    T = {(0, 0, 1): T001, (0, 0, 3): T003}
+    # first-index / second-index steps at q = 1 (boundary data at q = -1);
+    # constant elements read no moment that needs them
+    if not constant:
+        s0m1 = seg[(0, -1)]
+        A, B = s0m1[1] - s0m1[2], s0m1[2] - s0m1[0]
+        T[1, 0, 1] = k12 * B - k11 * A + cv * T001
+        T[0, 1, 1] = k12 * A - k22 * B + cw * T001
 
     # the same steps at q = 3 (boundary data at q = 1): T[m + 1, n, 3], or
     # T[m, n + 1, 3] if second, from T[m, n, 3], T[m - 1, n, 1] and
@@ -235,18 +252,18 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float, out=None):
         Tm1n, Tmn1, Tmn3 = T.get((m - 1, n, 1)), T.get((m, n - 1, 1)), T[m, n, 3]
         if second:  # the first-index step with the two indices swapped
             A, B, m, n, Tm1n, Tmn1 = B, A, n, m, Tmn1, Tm1n
-        Lsq, cx = (L22, cw) if second else (L11, cv)
-        t = A / Lsq - c * B / L12
+        k, cx = (k22, cw) if second else (k11, cv)
         if m:
-            t -= (Tm1n if m == 1 else m * Tm1n) / Lsq
+            A = A - (Tm1n if m == 1 else m * Tm1n)
         if n:
-            t += c * n * Tmn1 / L12
-        t += cx * Tmn3
-        return t / denom
+            B = B - (Tmn1 if n == 1 else n * Tmn1)
+        return k * A - k12 * B + cx * Tmn3
 
-    T = {(0, 0, 1): T001, (0, 0, 3): T003, (1, 0, 1): T101, (0, 1, 1): T011}
-    for m, n, second in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 1),
-                         (2, 0, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1)):
+    # the first five steps give every moment of order <= 2 at q = 3, the
+    # last four the cubic ones, which only the linear density reads
+    steps = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 1),
+             (2, 0, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1))
+    for m, n, second in steps[:5] if constant else steps:
         T[m + 1 - second, n + second, 3] = step(m, n, second)
     return T, x
 
@@ -344,7 +361,7 @@ def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False,
         block = _coefficient_block(F * M, constant, np.result_type(xf, frame.y0))
     t = block[:K * 7 * F * M].reshape(K, 7, F, M)
     x = block[K * 7 * F * M:(K * 7 + 9) * F * M].reshape(3, 3, F, M)
-    T, x = _t_table_arrays(xf, frame, params.eps, out=x)
+    T, x = _t_table_arrays(xf, frame, params.eps, out=x, constant=constant)
     if constant:  # the three hats sum to one: the f0 basis
         for i, key in enumerate(_BASIS_KEYS[0]):
             t[0, i] = T[key]

@@ -14,7 +14,7 @@ from stokeslet_surfaces import (
     triangle_frame,
     triangle_velocity,
 )
-from stokeslet_surfaces.kernel import _reversed, _sides
+from stokeslet_surfaces.kernel import _frame_floor, _reversed, _sides
 
 import oracles
 
@@ -42,15 +42,22 @@ def test_point_stokeslet_structure():
                                rtol=1e-14, atol=0)
 
 
-def _side_segment(frame, s, xf, eps):
+def _sides_at(frame, xf, eps, s=0):
     """Segment integrals S[m, q] of side s (corner s to corner s + 1 mod 3)
-    of a one-face frame at one field point, as floats."""
+    of a one-face frame at one field point, and the side's c001 term, as
+    floats."""
     xb = np.asarray(xf, dtype=float)[:, None, None]
     x = np.stack([xb - y.T[:, :, None] for y in (frame.y0, frame.y1, frame.y2)])
     R = np.sqrt(np.sum(x * x, axis=1) + eps * eps)  # (3, 1, 1)
     S, c001 = _sides(frame, x, R, eps)
     assert all(v.shape == (3, 1, 1) for v in (*S.values(), c001))
-    return {k: float(v[s, 0, 0]) for k, v in S.items()}
+    return {k: float(v[s, 0, 0]) for k, v in S.items()}, float(c001[s, 0, 0])
+
+
+def _side_segment(frame, s, xf, eps):
+    """Segment integrals S[m, q] of side s of a one-face frame at one field
+    point, as floats."""
+    return _sides_at(frame, xf, eps, s)[0]
 
 
 def _segment(xf, a, b, eps):
@@ -105,6 +112,77 @@ def test_segment_base_near_collinear_field_point():
     assert s0p1 == pytest.approx(
         oracles.segment_integral_quadrature(xf, a, b, eps, 0, 1), rel=1e-9
     )
+
+
+def _side_integrals_mp(a, b, xf, eps, n):
+    """S[m, q] along a -> b and the side's c001 term for the outward normal
+    n, in 40-digit arithmetic from the float inputs taken as exact.
+
+    With t = theta L - p the arc length past the foot of the perpendicular
+    from xf, R = sqrt(t**2 + c**2), where c**2 = |(xf - a) x e|**2 + eps**2
+    comes without cancellation; the antiderivatives are those of 1/R, R,
+    t/R and t**2/R in t. Also returns |xf - a| |D|, with D = L S[0, 1], the
+    size of the terms of c001 = -xn D."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, b, xf, n = ([mp.mpf(float(v)) for v in p] for p in (a, b, xf, n))
+        ab = [bk - ak for ak, bk in zip(a, b)]
+        L = mp.sqrt(sum(v * v for v in ab))
+        e = [v / L for v in ab]
+        xa = [xk - ak for xk, ak in zip(xf, a)]
+        p = sum(xk * ek for xk, ek in zip(xa, e))
+        cross = [xa[1] * e[2] - xa[2] * e[1], xa[2] * e[0] - xa[0] * e[2],
+                 xa[0] * e[1] - xa[1] * e[0]]
+        c2 = sum(v * v for v in cross) + mp.mpf(eps) ** 2
+        c = mp.sqrt(c2)
+        t0, t1 = -p, L - p
+        r0, r1 = mp.sqrt(t0 * t0 + c2), mp.sqrt(t1 * t1 + c2)
+        D = mp.asinh(t1 / c) - mp.asinh(t0 / c)
+        S = {(0, -1): (t1 * r1 - t0 * r0 + c2 * D) / (2 * L),
+             (0, 1): D / L,
+             (1, 1): (r1 - r0 + p * D) / L**2,
+             (2, 1): ((t1 * r1 - t0 * r0 - c2 * D) / 2 + 2 * p * (r1 - r0)
+                      + p * p * D) / L**3}
+        xn = sum(xk * nk for xk, nk in zip(xa, n))
+        scale = mp.sqrt(sum(v * v for v in xa)) * abs(D)
+        return ({k: float(v) for k, v in S.items()}, float(-xn * D), float(scale))
+
+
+@pytest.mark.parametrize("placement", ["both-negative", "straddling", "both-positive"])
+def test_sides_match_extended_precision(placement):
+    # Field points at 1e-9 L to 1e-1 L from the line of side 0 (a -> b),
+    # with their foot of the perpendicular beyond b (u0, u1 < 0), between a
+    # and b, or before a (u0, u1 > 0); eps from 1e-1 down to 4 times the
+    # floor. Bound, relative (for c001, to the size of its terms):
+    # - 1e-12 where the segment stays on one side of the foot;
+    # - plus 4 ulp R**2 / c**2 where it straddles the foot, since then
+    #   log c**2 enters D, and c**2 = R**2 - u**2 is formed from rounded R
+    #   and u with ulp R**2 of absolute error.
+    ulp = np.finfo(float).eps
+    rng = np.random.default_rng(["both-negative", "straddling", "both-positive"]
+                                .index(placement) + 31)
+    lo, hi = {"both-negative": (1.05, 3.0), "straddling": (0.05, 0.95),
+              "both-positive": (-2.0, -0.05)}[placement]
+    for case in range(200):
+        y = rng.normal(size=(3, 3))
+        frame = triangle_frame(*y)
+        a, b = y[0], y[1]
+        L = np.linalg.norm(b - a)
+        perp = np.cross(b - a, rng.normal(size=3))
+        perp /= np.linalg.norm(perp)
+        dist = L * 10.0 ** rng.uniform(-9.0, -1.0)
+        xf = a + rng.uniform(lo, hi) * (b - a) + dist * perp
+        eps = 10.0 ** rng.uniform(np.log10(4.0 * _frame_floor(frame)), -1.0)
+        S, c001 = _sides_at(frame, xf, eps)
+        ref, ref_c001, c001_scale = _side_integrals_mp(a, b, xf, eps, frame.side_n[0, 0])
+        bound = 1e-12
+        if placement == "straddling":
+            R2 = max(np.sum((xf - a) ** 2), np.sum((xf - b) ** 2)) + eps * eps
+            bound += 4.0 * ulp * R2 / (dist * dist + eps * eps)
+        for key, value in ref.items():
+            assert abs(S[key] - value) <= bound * abs(value), (case, key, S[key], value)
+        assert abs(c001 - ref_c001) <= bound * c001_scale, (case, c001, ref_c001)
 
 
 def _side_bases(frame, xf, eps):

@@ -835,6 +835,29 @@ def test_constant_forward_matches_linear_with_equal_forces(small_sphere):
     assert np.allclose(u_const, u_lin, rtol=1e-11, atol=1e-14)
 
 
+@pytest.mark.parametrize("f", [2, 3])
+def test_constant_elements_skip_only_moments_they_never_read(f, monkeypatch):
+    # constant elements leave out T[1,0,1], T[0,1,1] and the cubic moments;
+    # the full table gives the same matrix and velocities to the last bit
+    mesh = make_icosphere(f)
+    params = KernelParams(eps=1e-3)
+    rng = np.random.default_rng(f)
+    face_forces = rng.normal(size=(mesh.num_faces, 3))
+    pts = _points_off_the_unit_sphere(rng)
+
+    def run():
+        return (constant_assemble_resistance(mesh, params),
+                constant_evaluate_velocity(mesh, face_forces, pts, params))
+
+    skipped = run()
+    full_table = kernel._t_table_arrays
+    monkeypatch.setattr(kernel, "_t_table_arrays",
+                        lambda xf, frame, eps, out=None, constant=False:
+                        full_table(xf, frame, eps, out=out))
+    for got, want in zip(skipped, run()):
+        assert np.array_equal(got, want)
+
+
 def _points_off_the_unit_sphere(rng):
     """30 points with r < 0.3 and 30 with 1.5 < r < 3."""
     dirs = rng.normal(size=(60, 3))

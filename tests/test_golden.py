@@ -41,7 +41,7 @@ GRIDS = {
     "forward-spheroid": {"f_values": [2, 3]},
     "squirmer": {"f_values": [2, 3]},
     "linear-vs-constant": {"f_values": [2, 3]},
-    # the default eps list, 1e-4, 1e-6 and those of 1e-8 above the floor
+    # the default eps list: 1e-4, 1e-6, and 1e-8 where it is above the floor
     "mrs-comparison": {"f_values": [2, 3]},
     "pipe-leak": {"h_cube_values": [1.0 / 6.0], "eps_over_h": [0.1, 0.6],
                   "h_pipe": 1.0, "L": 1.0},

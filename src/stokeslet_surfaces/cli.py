@@ -37,6 +37,10 @@ EXIT_USAGE = 2
 EXIT_FLOOR = 3
 EXIT_SINGULAR = 4
 EXIT_IO = 5
+# the exit code of each error the CLI reports, the first that matches
+_ERROR_EXITS = ((FloatingFloorError, EXIT_FLOOR), (SingularSystemError, EXIT_SINGULAR),
+                (OSError, EXIT_IO), (MeshFormatError, EXIT_IO),
+                (DegenerateTriangleError, EXIT_IO), (ValueError, EXIT_USAGE))
 
 
 def _list(kind):
@@ -214,13 +218,8 @@ def run(config) -> int:
     # a missing output directory fails before the work, naming the given path
     if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
         raise FileNotFoundError(f"no directory for the output file {config.out}")
-    if config.command == "mesh":
-        return _run_mesh(config)
-    if config.command == "eval":
-        return _run_eval(config)
-    if config.command == "solve":
-        return _run_solve(config)
-    return _run_study(config)
+    commands = {"mesh": _run_mesh, "eval": _run_eval, "solve": _run_solve}
+    return commands.get(config.command, _run_study)(config)
 
 
 def main(argv=None) -> int:
@@ -230,18 +229,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return run(config)
-    except FloatingFloorError as exc:
+    except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLOOR
-    except SingularSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except (OSError, MeshFormatError, DegenerateTriangleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

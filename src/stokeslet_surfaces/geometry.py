@@ -241,12 +241,8 @@ def _has_close_pair(points, tol) -> bool:
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:
     """Face/vertex counts, degrees of freedom, and spacing h = sqrt(mean(BH))."""
-    return MeshStats(
-        num_faces=mesh.num_faces,
-        num_vertices=mesh.num_vertices,
-        dof=3 * mesh.num_vertices,
-        h=float(np.sqrt(mesh.frames.BH.mean())),
-    )
+    return MeshStats(num_faces=mesh.num_faces, num_vertices=mesh.num_vertices,
+                     dof=3 * mesh.num_vertices, h=float(np.sqrt(mesh.frames.BH.mean())))
 
 
 def _require_positive(**sizes):
@@ -262,24 +258,15 @@ def _require_positive(**sizes):
 
 def _icosahedron():
     p = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = np.array(
-        [
-            (-1, p, 0), (1, p, 0), (-1, -p, 0), (1, -p, 0),
-            (0, -1, p), (0, 1, p), (0, -1, -p), (0, 1, -p),
-            (p, 0, -1), (p, 0, 1), (-p, 0, -1), (-p, 0, 1),
-        ],
-        dtype=float,
-    )
+    verts = np.array([(-1, p, 0), (1, p, 0), (-1, -p, 0), (1, -p, 0),
+                      (0, -1, p), (0, 1, p), (0, -1, -p), (0, 1, -p),
+                      (p, 0, -1), (p, 0, 1), (-p, 0, -1), (-p, 0, 1)], dtype=float)
     verts /= np.linalg.norm(verts[0])
-    faces = np.array(
-        [
-            (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-            (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-            (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-            (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-        ],
-        dtype=np.int64,
-    )
+    faces = np.array([(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+                      (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+                      (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+                      (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1)],
+                     dtype=np.int64)
     return verts, faces
 
 
@@ -350,13 +337,8 @@ def make_spheroid_mesh(f: int, a: float, b: float, grading: float = 0.0) -> TriM
         theta = np.arccos(np.clip(z, -1.0, 1.0))
         phi = np.arctan2(y, x)
         theta = theta - k * np.sin(2.0 * theta)
-        verts = np.column_stack(
-            [
-                b * np.sin(theta) * np.cos(phi),
-                b * np.sin(theta) * np.sin(phi),
-                a * np.cos(theta),
-            ]
-        )
+        verts = np.column_stack([b * np.sin(theta) * np.cos(phi),
+                                 b * np.sin(theta) * np.sin(phi), a * np.cos(theta)])
     # positive scaling and the monotone remap keep the outward winding
     return TriMesh(verts, sphere.faces)
 

@@ -24,22 +24,22 @@ and outward normals come with the frame. No array is divided by a
 per-face one: the reciprocals of the side lengths, of BH and of the index
 recursions' denominators are formed once per call and multiplied in.
 
-All functions here are pure, apart from writing into a block the caller
+All functions here are pure, apart from writing into arrays the caller
 passes (below), and broadcast over a chunk of F faces (one
 struct-of-arrays TriangleFrame) times a batch of M field points. Scalars
-have shape (F, M); vectors are component-major, (3, F, M), and blocks
-(3, 3, F, M), so that every array operation runs over contiguous F*M runs.
-Each basis function's block has rank-3 form about its own collocation
-point, the corner of a linear hat or the centroid of a constant density,
-with coefficients (`_basis_terms`) that assembly's blocks
-(`_velocity_blocks`) and forward evaluation (`_velocity`) share;
-evaluation contracts them with the forces and forms no 3x3 entry. The
-coefficients and the corner offsets, a call's largest arrays, go into a
-flat block (`_coefficient_block`) that the caller allocates once for all
-the calls of an assembly or an evaluation; a call without one allocates
-its own.
-`t_table` and `triangle_velocity` evaluate one face at one point through
-the same path that assembly uses, after the same floor check.
+have shape (F, M) and vectors are component-major, (3, F, M), so that
+every array operation runs over contiguous F*M runs. Each basis function's
+block has rank-3 form about its own collocation point, the corner of a
+linear hat or the centroid of a constant density, with coefficients
+(`_basis_terms`) that assembly and forward evaluation share. Evaluation
+(`_velocity`) contracts them with the forces. Assembly maps them in one
+batched matmul to ten terms free of the offset x from the collocation
+point (`_block_map`, `_velocity_blocks`), sums those over the faces around
+each collocation point, and forms each unknown's block once a point
+(`_form_blocks`). A call's largest arrays go into a flat block
+(`_coefficient_block`) that the caller allocates once for all the calls
+of an assembly or an evaluation. `t_table` and `triangle_velocity`
+evaluate one face at one point by evaluation's path, after its floor check.
 """
 
 from __future__ import annotations
@@ -105,12 +105,8 @@ def point_stokeslet(x, y, params: KernelParams) -> np.ndarray:
     r2 = np.einsum("...k,...k->...", d, d) + eps2
     r = np.sqrt(r2)
     r3 = r2 * r
-    S = np.zeros(d.shape + (3,))
-    diag = 1.0 / r + eps2 / r3
-    for i in range(3):
-        S[..., i, i] = diag
-    S += d[..., :, None] * d[..., None, :] / r3[..., None, None]
-    return S
+    return ((1.0 / r + eps2 / r3)[..., None, None] * np.eye(3)
+            + d[..., :, None] * d[..., None, :] / r3[..., None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +320,24 @@ def _shift(t, sigma, tau):
         tXv -= times(sigma, tE)
 
 
-def _coefficient_block(num_pairs, constant=False, dtype=float):
+def _coefficient_block(num_pairs, constant=False, dtype=float, blocks=False, least=0):
     """Flat room for the coefficients t, shape (K, 7, F, M), and the corner
     offsets x, shape (3, 3, F, M), of a kernel call on up to num_pairs = F M
-    face-point pairs: a call's largest arrays. A caller that makes many
-    calls passes one block to each, so that the calls do not give the heap
-    back to the system and fault it in again (README, "Frames, kernel
-    shapes and chunking")."""
-    return np.empty(((1 if constant else 3) * 7 + 9) * num_pairs, dtype=dtype)
+    face-point pairs: a call's largest arrays; with `blocks`, the block
+    terms of `_velocity_blocks` in place of the offsets; of `least` values at
+    least. A caller that makes many calls passes one block to each, so that
+    the calls do not give the heap back to the system and fault it in again
+    (README, "Frames, kernel shapes and chunking")."""
+    K = 1 if constant else 3
+    return np.empty(max((17 * K if blocks else 7 * K + 9) * num_pairs, least), dtype=dtype)
+
+
+def _edges(frame: TriangleFrame, params: KernelParams):
+    """The edges v = y0 - y1 and w = y1 - y2, shape (F, 3), and the area
+    Jacobian BH times the prefactor 1/(8 pi mu), shape (F,)."""
+    L = frame.side_L[:, :2, None]
+    s = frame.BH / (8.0 * np.pi * params.mu)
+    return L[:, 0] * frame.side_e[:, 0], L[:, 1] * frame.side_e[:, 1], s
 
 
 def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False,
@@ -381,36 +387,64 @@ def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False,
     for tk, (sigma, tau) in zip(t, shifts):
         _shift(tk, sigma, tau)
     c = t[:, 0] + params.eps**2 * t[:, 1]
-    L = frame.side_L[:, :2, None]
-    v, w = _columns(L[:, 0] * frame.side_e[:, 0]), _columns(L[:, 1] * frame.side_e[:, 1])
-    s = frame.BH[:, None] / (8.0 * np.pi * params.mu)
-    return c, t[:, 1:], x, v, w, s
+    v, w, s = _edges(frame, params)
+    return c, t[:, 1:], x, _columns(v), _columns(w), s[:, None]
 
 
-def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, constant=False,
-                     block=None):
-    """Per basis function, face and point the 3x3 matrix M_k with u = sum
-    over k of M_k g_k, shape (K, 3, 3, F, M): basis (the corners 0, 1, 2,
-    or with `constant` the face), velocity component, force component,
-    face, point. `block` is passed to `_basis_terms`."""
-    c, S, x, v, w, s = _basis_terms(xf, frame, params, constant, block)
-    c *= s
-    S *= s
-    # the vectors p_k, q_k, r_k of S_k [x_k v w]^T, shape (K, 3, 3, F, M)
-    pqr = np.empty((len(x), 3) + x.shape[1:], dtype=x.dtype)
-    for row, (i0, i1, i2) in enumerate(_S_ROWS):
-        out = pqr[:, row]
-        np.multiply(S[:, i0, None], x, out=out)
-        out += S[:, i1, None] * v
-        out += S[:, i2, None] * w
-    blocks = np.empty_like(pqr)
-    for i in range(3):
-        row = blocks[:, i]  # velocity component i: basis, j, face, point
-        np.multiply(x[:, i, None], pqr[:, 0], out=row)
-        row += v[i] * pqr[:, 1]
-        row += w[i] * pqr[:, 2]
-        row[:, i] += c
-    return blocks
+# the entries (i, j), i <= j, of a symmetric 3x3 block, in the order of the
+# six Q rows of the block terms; Q00, Q11 and Q22 are rows 4, 7 and 9
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _block_map(frame: TriangleFrame, params: KernelParams):
+    """Per face the map G, shape (F, 10, 7), from a basis function's seven
+    shifted coefficients (t1, tE, tXv, tXw, tVv, tVw, tWw) to the ten terms
+    (E/2, a, Q) of its block about its collocation point,
+    M = E x x^T + x a^T + a x^T + Q, with E = s tE, a = s (tXv v + tXw w) and
+    Q = s ((t1 + eps^2 tE) I + tVv v v^T + tVw (v w^T + w v^T) + tWw w w^T)
+    (the entries in the order of _UPPER). No term depends on x, which the
+    faces around a collocation point share, so assembly adds the terms over
+    those faces and forms each block once (`_form_blocks`)."""
+    v, w, s = _edges(frame, params)
+    i, j = np.array(_UPPER).T
+    G = np.zeros((len(s), 10, 7), dtype=s.dtype)
+    G[:, 0, 1] = 0.5
+    G[:, 1:4, 2], G[:, 1:4, 3] = v, w
+    G[:, 4:, 4:] = np.stack([v[:, i] * v[:, j], v[:, i] * w[:, j] + w[:, i] * v[:, j],
+                             w[:, i] * w[:, j]], axis=2)
+    G[:, [4, 7, 9], :2] = 1.0, params.eps**2
+    return s[:, None, None] * G
+
+
+def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, G, constant, block):
+    """The block terms of each basis function (the corners, or with
+    `constant` the face), face and point, shape (K, F, 10, M), from the
+    frame's G (`_block_map`), written into `block`, from
+    `_coefficient_block(..., blocks=True)`, after the coefficients.
+    `bench/tracing.py` wraps `solver._velocity_blocks` by this name until
+    the package emits its own spans (ROADMAP item 2)."""
+    K, F, M = 1 if constant else 3, len(frame.BH), len(xf)
+    _basis_terms(xf, frame, params, constant, block)
+    t = block[:7 * K * F * M].reshape(K, 7, F, M)
+    out = block[7 * K * F * M:17 * K * F * M].reshape(K, F, 10, M)
+    return np.matmul(G, t.transpose(0, 2, 1, 3), out=out)
+
+
+def _form_blocks(terms, x, out, tmp):
+    """Write M_ij = x_i d_j + d_i x_j + Q_ij, d = a + (E/2) x, into out[i, j],
+    shape (N, M), for N unknowns at M points from their terms summed over
+    their faces, shape (N, 10, M), which it uses up, and their offsets from
+    their collocation points, shape (3, N, M); tmp, shape (N, M), is scratch."""
+    half_E, d, Q = terms[:, 0], terms[:, 1:4], terms[:, 4:]
+    for j in range(3):
+        d[:, j] += np.multiply(half_E, x[j], out=tmp)
+    for r, (i, j) in enumerate(_UPPER):
+        Mij = Q[:, r]
+        Mij += np.multiply(x[i], d[:, j], out=tmp)
+        Mij += np.multiply(d[:, i], x[j], out=tmp)
+        out[i, j] = Mij
+        if i != j:
+            out[j, i] = Mij
 
 
 def _velocity(xf, frame: TriangleFrame, forces, params: KernelParams, constant=False,
@@ -439,9 +473,5 @@ def _velocity(xf, frame: TriangleFrame, forces, params: KernelParams, constant=F
 def triangle_velocity(xf, frame: TriangleFrame, f0, f1, f2, params: KernelParams):
     """Velocity at xf induced by the linear force density (f0, f1, f2) on
     a one-face frame."""
-    M = _velocity_blocks(_one_point(xf, frame, params.eps), frame, params)[..., 0, 0]
-    return (
-        M[0] @ np.asarray(f0, dtype=float)
-        + M[1] @ np.asarray(f1, dtype=float)
-        + M[2] @ np.asarray(f2, dtype=float)
-    )
+    forces = np.asarray([f0, f1, f2], dtype=float)[None]
+    return _velocity(_one_point(xf, frame, params.eps), frame, forces, params)[:, 0]

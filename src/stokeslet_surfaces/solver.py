@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .geometry import TriMesh
-from .kernel import (KernelParams, _coefficient_block, _velocity, _velocity_blocks,
-                     point_stokeslet)
+from .kernel import (KernelParams, _block_map, _coefficient_block, _form_blocks,
+                     _velocity, _velocity_blocks, point_stokeslet)
 
 __all__ = [
     "evaluate_velocity",
@@ -44,11 +44,11 @@ __all__ = [
 
 
 # Face-point pairs per kernel call, one face at least. Chunks amortize the
-# per-call overhead over several faces; this bound keeps assembly's blocks
-# small: the traced peak of an f=4 sphere solve (one assembly, two
-# resistance solves and a swimmer solve that reuses A) is 5.96 MB with
-# 4096-pair chunks, 9.96 MB with 8192-pair ones. A call on a slab of more
-# points holds one face at every point of the slab.
+# per-call overhead over several faces; this bound keeps a call's
+# coefficients and block terms small: the traced peak of an f=4 sphere
+# solve (one assembly, two resistance solves and a swimmer solve that
+# reuses A) is 6.10 MB with 4096-pair chunks, 8.66 MB with 8192-pair ones.
+# A call on a slab of more points holds one face at every point of the slab.
 _CHUNK_PAIRS = 4096
 
 
@@ -66,14 +66,15 @@ def _point_slabs(num_points, most):
     return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
 
 
-def _coefficients(num_faces, slabs, constant):
-    """One coefficient block for all the kernel calls on `slabs`. A call on
-    a slab of s points holds at most min(F s, max(s, _CHUNK_PAIRS)) pairs,
-    which grows with s, and the first slab is the largest (a smaller last
-    slab may still make calls of more pairs than the first slab's first)."""
+def _coefficients(num_faces, slabs, constant, blocks=False, least=0):
+    """One coefficient block for all the kernel calls on `slabs`
+    (`_coefficient_block`'s `blocks` and `least`). A call on a slab of s
+    points holds at most min(F s, max(s, _CHUNK_PAIRS)) pairs, which grows
+    with s, and the first slab is the largest (a smaller last slab may still
+    make calls of more pairs than the first slab's first)."""
     points = slabs[0].stop - slabs[0].start if slabs else 0
     return _coefficient_block(min(num_faces * points, max(points, _CHUNK_PAIRS)),
-                              constant)
+                              constant, blocks=blocks, least=least)
 
 
 def _as_rows(values, rows, name: str) -> np.ndarray:
@@ -125,35 +126,43 @@ def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
     """Dense matrix mapping stacked unknown forces to the velocities at
     points; basis_unknowns, shape (F, K), holds the unknown that carries the
     force of each face's basis functions (the corners, or with `constant`
-    the face)."""
+    the face), and unknown j is collocated at points[j]."""
     params.validate_for_mesh(mesh)
-    m = len(points)
+    m, n = len(points), num_unknowns
     # slabs of at most _CHUNK_PAIRS // 16 points, so that each kernel call
     # on a slab still spans 16 faces or more
     slabs = _point_slabs(m, _CHUNK_PAIRS // 16)
-    block = _coefficients(mesh.num_faces, slabs, constant)
-    # one slab's accumulator, reused: unknown, force component, velocity
-    # component, point; each block adds along contiguous runs of points
-    acc = np.empty((num_unknowns, 3, 3, slabs[0].stop))
+    # after a slab's kernel calls the block holds the offsets and scratch of
+    # the block formation, 4 n values a point
+    block = _coefficients(mesh.num_faces, slabs, constant, blocks=True,
+                          least=4 * n * slabs[0].stop)
+    G = _block_map(mesh.frames, params)
+    # one slab's accumulator, reused: unknown, block term, point; each face
+    # adds the terms of its basis functions along contiguous runs of points
+    acc = np.empty((n, 10, slabs[0].stop))
     A = None
     for slab in slabs:
         ms = slab.stop - slab.start
         part = acc[..., :ms]
         part.fill(0.0)
         for chunk in _face_chunks(mesh.num_faces, ms):
-            blocks = _velocity_blocks(points[slab], mesh.frames.select(chunk),
-                                      params, constant, block)
-            by_face = blocks.transpose(3, 0, 2, 1, 4)  # face, basis, j, i, point
+            terms = _velocity_blocks(points[slab], mesh.frames.select(chunk), params,
+                                     G[chunk], constant, block)
+            by_face = terms.swapaxes(0, 1)  # face, basis, term, point
             # one face at a time: a chunk may repeat an unknown, and a
             # fancy-indexed += would keep only one of the repeated contributions
             for p, unknowns in enumerate(basis_unknowns[chunk]):
-                for j, Mk in zip(unknowns, by_face[p]):
-                    part[j] += Mk
+                for j, terms_k in zip(unknowns, by_face[p]):
+                    part[j] += terms_k
         if A is None:  # not beside the kernel's temporaries in a one-slab run
-            A = np.empty((3 * m, 3 * num_unknowns))
+            A = np.empty((3 * m, 3 * n))
+        # each unknown's offsets from its collocation point, 0 at its own
+        x = np.subtract(points[slab].T[:, None], points.T[:, :, None],
+                        out=block[:3 * n * ms].reshape(3, n, ms))
         # rows (point, velocity component), columns (unknown, force component)
-        A[3 * slab.start:3 * slab.stop].reshape(ms, 3, num_unknowns, 3)[...] = (
-            part.transpose(3, 2, 0, 1))
+        rows = A[3 * slab.start:3 * slab.stop].reshape(ms, 3, n, 3)
+        _form_blocks(part, x, rows.transpose(1, 3, 2, 0),
+                     block[3 * n * ms:4 * n * ms].reshape(n, ms))
     return A
 
 

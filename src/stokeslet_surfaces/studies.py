@@ -69,16 +69,8 @@ class ExperimentReport:
         value = float(value)
         if not np.isfinite(value):
             raise ValueError(f"non-finite metric {metric!r} in {self.experiment}")
-        self.rows.append(
-            {
-                "num_faces": int(num_faces),
-                "dof": int(dof),
-                "h": float(h),
-                "eps": float(eps),
-                "metric": str(metric),
-                "value": value,
-            }
-        )
+        self.rows.append({"num_faces": int(num_faces), "dof": int(dof), "h": float(h),
+                          "eps": float(eps), "metric": str(metric), "value": value})
 
     def values(self, metric):
         return [r["value"] for r in self.rows if r["metric"] == metric]
@@ -105,12 +97,9 @@ def _atomic_write(path, text):
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:
-    lines = [CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            f"{report.experiment},{r['num_faces']},{r['dof']},"
-            f"{r['h']:.17g},{r['eps']:.17g},{r['metric']},{r['value']:.17g}"
-        )
+    lines = [CSV_HEADER] + [f"{report.experiment},{r['num_faces']},{r['dof']},"
+                            f"{r['h']:.17g},{r['eps']:.17g},{r['metric']},{r['value']:.17g}"
+                            for r in report.rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -323,12 +312,6 @@ def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
                 report.add(*key, kp.eps, metric, _vertex_error(u, target))
 
 
-def _gauss_rule_4():
-    # 4-point Gauss-Legendre nodes/weights on [0, 1]
-    x, w = np.polynomial.legendre.leggauss(4)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _triangle_quadrature_points(frame):
     """16-point product rule on each triangle of `frame`; returns (points,
     weights) of shapes (16 F, 3) and (16 F,), face by face.
@@ -337,7 +320,8 @@ def _triangle_quadrature_points(frame):
     (alpha, beta) = (u, u v) with Jacobian u; weights include the area
     factor BH.
     """
-    gu, wu = _gauss_rule_4()
+    x, w = np.polynomial.legendre.leggauss(4)
+    gu, wu = 0.5 * (x + 1.0), 0.5 * w  # 4-point Gauss-Legendre on [0, 1]
     alpha = np.repeat(gu, 4)[None, :, None]  # u, outer loop of the 16 nodes
     beta = (gu[:, None] * gu[None, :]).reshape(1, 16, 1)  # u v
     L1, L2 = frame.side_L[:, 0, None, None], frame.side_L[:, 1, None, None]

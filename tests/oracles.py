@@ -3,7 +3,8 @@
 The quadrature oracles integrate the defining expressions directly with
 adaptive quadrature; they reuse none of the closed forms under test. The
 swimmer reference solves the augmented system that the bordered swimmer
-solve replaced.
+solve replaced. The one-face blocks are the slow reference for assembly,
+formed entry by entry from the kernel's shared coefficients.
 """
 
 import numpy as np
@@ -105,6 +106,25 @@ def triangle_velocity_reference(xf, frame, f0, f1, f2, eps, mu, tol=1e-11):
         return fine, False
     return triangle_velocity_quadrature(xf, frame, f0, f1, f2, eps, mu,
                                         epsrel=1e-10), True
+
+
+def basis_blocks(xf, frame, params, constant=False):
+    """Each basis function's block M_k = s (c_k I + [x_k v w] S_k [x_k v w]^T),
+    shape (K, 3, 3, F, M): basis, velocity component, force component, face,
+    point, formed entry by entry from `kernel._basis_terms` in the dtype of
+    xf and the frame. Assembly instead adds the terms of the blocks over the
+    faces around each collocation point and forms each block once."""
+    from stokeslet_surfaces import kernel
+
+    c, S, x, v, w, s = kernel._basis_terms(xf, frame, params, constant)
+    cols = (x, np.broadcast_to(v, x.shape), np.broadcast_to(w, x.shape))
+    blocks = np.zeros((len(x), 3, 3) + x.shape[2:], dtype=x.dtype)
+    for a, row in enumerate(kernel._S_ROWS):
+        for b, entry in enumerate(row):
+            blocks += S[:, entry, None, None] * cols[a][:, :, None] * cols[b][:, None]
+    for i in range(3):
+        blocks[:, i, i] += c
+    return s * blocks
 
 
 def random_triangle_case(rng, eps_range=(1e-2, 1.0), scale=1.0):

@@ -125,13 +125,13 @@ def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch)
 
 
 def _one_face_matrix(mesh, points, unknowns, params, constant):
-    """The assembled matrix from one kernel call per face at all the points,
-    the faces added in order."""
+    """The assembled matrix from the one-face blocks of every face at all the
+    points (`oracles.basis_blocks`), the faces added in order."""
     n = unknowns.max() + 1
     stacked = np.zeros((len(points), 3, n, 3))
     for p, face_unknowns in enumerate(unknowns):
-        blocks = _velocity_blocks(points, mesh.frames.select(slice(p, p + 1)), params,
-                                  constant)
+        blocks = oracles.basis_blocks(points, mesh.frames.select(slice(p, p + 1)), params,
+                                      constant)
         for j, Mk in zip(face_unknowns, blocks):
             stacked[:, :, j, :] += Mk[:, :, 0].transpose(2, 0, 1)
     return stacked.reshape(3 * len(points), 3 * n)
@@ -144,8 +144,10 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
     # every kernel call of it writes its coefficients and corner offsets
     # there. Assembly on f=3 in slabs of 8 points and chunks of 16 faces
     # (a budget of 128 pairs), and evaluation at 5000 points, one face a
-    # call, both equal one kernel call a face, each with a block of its own,
-    # bit for bit.
+    # call, both equal one kernel call a face, each with a block of its own:
+    # evaluation bit for bit, and assembly, which forms each unknown's block
+    # from terms summed over its faces, within 1.3e-15 (linear) and 2.5e-16
+    # (constant) of max|A| of the one-face blocks, bounded here by 2e-15.
     mesh = make_icosphere(3)
     params = KernelParams(eps=1e-3)
     constant = elements == "constant"
@@ -187,7 +189,8 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
         assert all(np.shares_memory(S, first) and np.shares_memory(x, first)
                    for _, S, x in calls)
 
-    assert np.array_equal(A, _one_face_matrix(mesh, points, unknowns, params, constant))
+    stacked = _one_face_matrix(mesh, points, unknowns, params, constant)
+    assert np.abs(A - stacked).max() <= 2e-15 * np.abs(stacked).max()
     basis_forces = forces[:, None] if constant else forces[mesh.faces]
     one_face = np.zeros((3, len(field)))
     for p in range(mesh.num_faces):
@@ -394,8 +397,8 @@ def test_float64_velocities_match_extended_precision_kernel(f, seed, log_eps):
     mesh, h = _jittered_sphere(f, rng)
     params = KernelParams(eps=10.0**log_eps)
     forces = rng.normal(size=(mesh.num_vertices, 3))
-    blocks = _velocity_blocks(mesh.vertices.astype(np.longdouble),
-                              _longdouble_frames(mesh), params)
+    blocks = oracles.basis_blocks(mesh.vertices.astype(np.longdouble),
+                                  _longdouble_frames(mesh), params)
     assert blocks.dtype == np.longdouble
     exact = np.einsum("kijfm,fkj->mi", blocks,
                       forces.astype(np.longdouble)[mesh.faces])

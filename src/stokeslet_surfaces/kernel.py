@@ -323,11 +323,11 @@ def _shift(t, sigma, tau):
 def _coefficient_block(num_pairs, constant=False, dtype=float, blocks=False, least=0):
     """Flat room for the coefficients t, shape (K, 7, F, M), and the corner
     offsets x, shape (3, 3, F, M), of a kernel call on up to num_pairs = F M
-    face-point pairs: a call's largest arrays; with `blocks`, the block
-    terms of `_velocity_blocks` in place of the offsets; of `least` values at
-    least. A caller that makes many calls passes one block to each, so that
-    the calls do not give the heap back to the system and fault it in again
-    (README, "Frames, kernel shapes and chunking")."""
+    face-point pairs: a call's largest arrays, or with `blocks` the block
+    terms of `_velocity_blocks` in place of the offsets; `least` values if
+    that is more. A caller that makes many calls passes one block to each,
+    so that the calls do not give the heap back to the system and fault it
+    in again (README, "Frames, kernel shapes and chunking")."""
     K = 1 if constant else 3
     return np.empty(max((17 * K if blocks else 7 * K + 9) * num_pairs, least), dtype=dtype)
 

@@ -79,6 +79,21 @@ def _row_dot(a, b):
     return (a @ b[:, :, None])[..., 0]
 
 
+def _cross(a, b):
+    """a x b over the last axis, of length 3, of arrays that broadcast, in
+    their result dtype: numpy's cross's multiplies and subtracts in its
+    order, so its values bit for bit, without its generic dispatch."""
+    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    p = a1 * b2
+    out = np.empty(p.shape + (3,), np.result_type(a, b))
+    np.subtract(p, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
 def triangle_frame(y0, y1, y2) -> TriangleFrame:
     """Frames of triangles with corners of shape (F, 3), or (3,) for one.
 
@@ -94,7 +109,7 @@ def triangle_frame(y0, y1, y2) -> TriangleFrame:
     if np.any(side_L == 0.0):
         raise DegenerateTriangleError("triangle has a zero-length side")
     side_e = np.stack(d, axis=1) / side_L[:, :, None]
-    cross = np.cross(y1 - y0, y2 - y0)
+    cross = _cross(y1 - y0, y2 - y0)
     BH = np.sqrt(_row_dot(cross[:, None], cross)[:, 0])
     c = _row_dot(side_e[:, 0, None], side_e[:, 1])[:, 0]
     if np.any((c * c >= 1.0 - 1e-12) | (BH < 1e-14 * side_L[:, 0] * side_L[:, 1])):
@@ -102,7 +117,7 @@ def triangle_frame(y0, y1, y2) -> TriangleFrame:
     nhat = cross / BH[:, None]
     # nhat x e = (y_b - y_a) x nhat / L, which points out of the triangle
     # because nhat is right-handed for (y0, y1, y2)
-    side_n = np.cross(nhat[:, None], side_e)
+    side_n = _cross(nhat[:, None], side_e)
     return TriangleFrame(y0, y1, y2, side_L, side_e, side_n, BH, nhat)
 
 

@@ -133,10 +133,10 @@ def _sides(frame: TriangleFrame, x, R, eps):
     x[j] = xf - y_j, shape (3, 3, F, M): corner, xyz, face, point, and
     R[j] = sqrt(|x[j]|**2 + eps**2), shape (3, F, M).
 
-    Returns (S, c001), each value of shape (3, F, M) with side s first: S
-    maps (m, q) to the segment integral S[m, q] along a -> b, and c001 is
-    the side's term of the contour sum that gives the boundary part of
-    BH * T[0,0,1].
+    Returns (S, c001, u0): S maps (m, q) to the segment integral S[m, q]
+    along a -> b, and c001 is the side's term of the contour sum that gives
+    the boundary part of BH * T[0,0,1], each of shape (3, F, M) with side s
+    first; u0 = x[0] . e of side 0, shape (F, M), is the T table's x0 . vhat.
     """
     R0, R1 = R, R[[1, 2, 0]]
     L = frame.side_L.T[:, :, None]  # side, face, 1
@@ -161,7 +161,7 @@ def _sides(frame: TriangleFrame, x, R, eps):
     s2p1 = (R1 - s0m1) * inv_Lsq - P * s1p1
     S = {(0, -1): s0m1, (0, 1): s0p1, (1, 1): s1p1, (2, 1): s2p1}
     c001 = _dot(xs, -frame.side_n.T[..., None]) * D  # -xn L s0p1
-    return S, c001
+    return S, c001, u0[0]
 
 
 def _reversed(d0, d1, d2):
@@ -192,7 +192,7 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float, out=None, constant=Fal
     del sq
     z0 = _dot(x[0], _columns(frame.nhat))
     gamma = np.sqrt(z0 * z0 + eps2)
-    seg, c001 = _sides(frame, x, R, eps)
+    seg, c001, x0v = _sides(frame, x, R, eps)
 
     # seen from the point lifted to height gamma, the corners are
     # a_j = x_j + (gamma - z0) nhat, with |a_j| = R_j, a_i . a_j =
@@ -215,7 +215,6 @@ def _t_table_arrays(xf, frame: TriangleFrame, eps: float, out=None, constant=Fal
     c = _row_dot(vhat[:, None], what)
     inv_denom = 1.0 / (c * c - 1.0)
     k11, k22, k12 = inv_denom / L1**2, inv_denom / L2**2, c * inv_denom / (L1 * L2)
-    x0v = _dot(x[0], _columns(vhat))
     x0w = _dot(x[0], _columns(what))
     cv = (x0v - c * x0w) * (inv_denom / L1)
     cw = (x0w - c * x0v) * (inv_denom / L2)
@@ -320,16 +319,16 @@ def _shift(t, sigma, tau):
         tXv -= times(sigma, tE)
 
 
-def _coefficient_block(num_pairs, constant=False, dtype=float, blocks=False, least=0):
+def _coefficient_block(num_pairs, constant=False, dtype=float, blocks=False):
     """Flat room for the coefficients t, shape (K, 7, F, M), and the corner
     offsets x, shape (3, 3, F, M), of a kernel call on up to num_pairs = F M
     face-point pairs: a call's largest arrays, or with `blocks` the block
-    terms of `_velocity_blocks` in place of the offsets; `least` values if
-    that is more. A caller that makes many calls passes one block to each,
-    so that the calls do not give the heap back to the system and fault it
-    in again (README, "Frames, kernel shapes and chunking")."""
+    terms of `_velocity_blocks` in place of the offsets. A caller that makes
+    many calls passes one block to each, so that the calls do not give the
+    heap back to the system and fault it in again (README, "Frames, kernel
+    shapes and chunking")."""
     K = 1 if constant else 3
-    return np.empty(max((17 * K if blocks else 7 * K + 9) * num_pairs, least), dtype=dtype)
+    return np.empty((17 * K if blocks else 7 * K + 9) * num_pairs, dtype=dtype)
 
 
 def _edges(frame: TriangleFrame, params: KernelParams):
@@ -346,16 +345,17 @@ def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False,
 
     The bases are the three corner hats of the linear density, each taken
     about its own corner, or with `constant` the constant density of the
-    face, taken about its centroid. Returns (c, S, x, v, w, s) with
-    M_k = s (c[k] I + [x[k] v w] S_k [x[k] v w]^T) for basis k: c has shape
-    (K, F, M), K = 3 or 1; S holds the entries of S_k, shape (K, 6, F, M),
+    face, taken about its centroid. Returns (t, x, v, w, s) with
+    M_k = s ((t1 + eps^2 tE) I + [x[k] v w] S_k [x[k] v w]^T) for basis k:
+    t holds its seven coefficients (t1, tE, tXv, tXw, tVv, tVw, tWw), shape
+    (K, 7, F, M), K = 3 or 1, of which the last six are the entries of S_k
     in the order of _S_ROWS; x[k] = xf - xc_k, shape (K, 3, F, M), is the
     offset from the basis function's collocation point; v and w are the
     edges y0 - y1 and y1 - y2, shape (3, F, 1); and s, shape (F, 1), is the
     area Jacobian BH times the prefactor 1/(8 pi mu).
 
-    The coefficients t, of which S is a view, and x are written into
-    `block` (from `_coefficient_block`), or into a new one without it.
+    t and x are written into `block` (from `_coefficient_block`), or into a
+    new one without it.
 
     The T moments about corner 0 carry a large cancellation at eps << h.
     The shift to each collocation point takes it once, in coefficients that
@@ -386,9 +386,8 @@ def _basis_terms(xf, frame: TriangleFrame, params: KernelParams, constant=False,
     del T  # keeps the peak memory of a call down
     for tk, (sigma, tau) in zip(t, shifts):
         _shift(tk, sigma, tau)
-    c = t[:, 0] + params.eps**2 * t[:, 1]
     v, w, s = _edges(frame, params)
-    return c, t[:, 1:], x, _columns(v), _columns(w), s[:, None]
+    return t, x, _columns(v), _columns(w), s[:, None]
 
 
 # the entries (i, j), i <= j, of a symmetric 3x3 block, in the order of the
@@ -423,18 +422,22 @@ def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, G, constant
     `_coefficient_block(..., blocks=True)`, after the coefficients.
     `bench/tracing.py` wraps `solver._velocity_blocks` by this name until
     the package emits its own spans (ROADMAP item 2)."""
-    K, F, M = 1 if constant else 3, len(frame.BH), len(xf)
-    _basis_terms(xf, frame, params, constant, block)
-    t = block[:7 * K * F * M].reshape(K, 7, F, M)
+    t = _basis_terms(xf, frame, params, constant, block)[0]
+    K, _, F, M = t.shape
     out = block[7 * K * F * M:17 * K * F * M].reshape(K, F, 10, M)
     return np.matmul(G, t.transpose(0, 2, 1, 3), out=out)
 
 
-def _form_blocks(terms, x, out, tmp):
+def _form_blocks(terms, xf, xc, out, scratch):
     """Write M_ij = x_i d_j + d_i x_j + Q_ij, d = a + (E/2) x, into out[i, j],
-    shape (N, M), for N unknowns at M points from their terms summed over
-    their faces, shape (N, 10, M), which it uses up, and their offsets from
-    their collocation points, shape (3, N, M); tmp, shape (N, M), is scratch."""
+    shape (N, M), for N unknowns collocated at xc, shape (N, 3), at the M
+    points xf, shape (M, 3), from their terms summed over their faces, shape
+    (N, 10, M), which it uses up. The offsets x = xf - xc, 0 at an unknown's
+    own point, and a temporary take the first 4 N M values of scratch."""
+    N, M = len(xc), len(xf)
+    x = np.subtract(xf.T[:, None], xc.T[:, :, None],
+                    out=scratch[:3 * N * M].reshape(3, N, M))
+    tmp = scratch[3 * N * M:4 * N * M].reshape(N, M)
     half_E, d, Q = terms[:, 0], terms[:, 1:4], terms[:, 4:]
     for j in range(3):
         d[:, j] += np.multiply(half_E, x[j], out=tmp)
@@ -458,7 +461,8 @@ def _velocity(xf, frame: TriangleFrame, forces, params: KernelParams, constant=F
     the rows of S_k (X, V, W) give P_k, Q_k and R_k, and
     u = sum over k of (c_k g_k + x_k P_k) + v sum Q_k + w sum R_k.
     """
-    c, S, x, v, w, s = _basis_terms(xf, frame, params, constant, block)
+    t, x, v, w, s = _basis_terms(xf, frame, params, constant, block)
+    c, S = t[:, 0] + params.eps**2 * t[:, 1], t[:, 1:]
     g = s * forces.transpose(1, 2, 0)[..., None]  # basis, xyz, face, 1
     X, V, W = (_dot(a, g.swapaxes(0, 1)) for a in (x.swapaxes(0, 1), v, w))
     P, Q, R = (S[:, i0] * X + S[:, i1] * V + S[:, i2] * W for i0, i1, i2 in _S_ROWS)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _require_positive
+from .geometry import _cross, _require_positive
 
 # Indices of the 50 terms of the duct series (truncation about 5e-7 at walls).
 _DUCT_N = np.arange(1, 51)
@@ -66,8 +66,8 @@ def sphere_rotation_reference(x, a: float, Omega, mu: float):
     """
     _require_positive(radius=a)
     x = np.asarray(x, dtype=float)
-    swirl = np.cross(np.asarray(Omega, dtype=float), x)
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    swirl = _cross(np.asarray(Omega, dtype=float), x)
+    r = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     return 3.0 * mu / a * swirl, a**3 * swirl / r**3
 
 
@@ -95,7 +95,7 @@ def spheroid_rotation_reference(x, a: float, b: float, mu: float):
     grad = x / np.array([b**2, b**2, a**2])
     nhat = grad / np.linalg.norm(grad, axis=-1, keepdims=True)
     n_dot_x = np.sum(nhat * x, axis=-1, keepdims=True)
-    traction = -3.0 * n_dot_x / (8.0 * np.pi * a * b**4) * np.cross(M, x)
+    traction = -3.0 * n_dot_x / (8.0 * np.pi * a * b**4) * _cross(M, x)
     return traction, M
 
 

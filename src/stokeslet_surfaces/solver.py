@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .geometry import TriMesh
+from .geometry import TriMesh, _cross
 from .kernel import (KernelParams, _block_map, _coefficient_block, _form_blocks,
                      _velocity, _velocity_blocks, point_stokeslet)
 
@@ -66,15 +66,15 @@ def _point_slabs(num_points, most):
     return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
 
 
-def _coefficients(num_faces, slabs, constant, blocks=False, least=0):
+def _coefficients(num_faces, slabs, constant, blocks=False):
     """One coefficient block for all the kernel calls on `slabs`
-    (`_coefficient_block`'s `blocks` and `least`). A call on a slab of s
-    points holds at most min(F s, max(s, _CHUNK_PAIRS)) pairs, which grows
-    with s, and the first slab is the largest (a smaller last slab may still
-    make calls of more pairs than the first slab's first)."""
+    (`_coefficient_block`'s `blocks`). A call on a slab of s points holds at
+    most min(F s, max(s, _CHUNK_PAIRS)) pairs, which grows with s, and the
+    first slab is the largest (a smaller last slab may still make calls of
+    more pairs than the first slab's first)."""
     points = slabs[0].stop - slabs[0].start if slabs else 0
     return _coefficient_block(min(num_faces * points, max(points, _CHUNK_PAIRS)),
-                              constant, blocks=blocks, least=least)
+                              constant, blocks=blocks)
 
 
 def _as_rows(values, rows, name: str) -> np.ndarray:
@@ -132,10 +132,7 @@ def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
     # slabs of at most _CHUNK_PAIRS // 16 points, so that each kernel call
     # on a slab still spans 16 faces or more
     slabs = _point_slabs(m, _CHUNK_PAIRS // 16)
-    # after a slab's kernel calls the block holds the offsets and scratch of
-    # the block formation, 4 n values a point
-    block = _coefficients(mesh.num_faces, slabs, constant, blocks=True,
-                          least=4 * n * slabs[0].stop)
+    block = _coefficients(mesh.num_faces, slabs, constant, blocks=True)
     G = _block_map(mesh.frames, params)
     # one slab's accumulator, reused: unknown, block term, point; each face
     # adds the terms of its basis functions along contiguous runs of points
@@ -156,13 +153,13 @@ def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
                     part[j] += terms_k
         if A is None:  # not beside the kernel's temporaries in a one-slab run
             A = np.empty((3 * m, 3 * n))
-        # each unknown's offsets from its collocation point, 0 at its own
-        x = np.subtract(points[slab].T[:, None], points.T[:, :, None],
-                        out=block[:3 * n * ms].reshape(3, n, ms))
         # rows (point, velocity component), columns (unknown, force component)
         rows = A[3 * slab.start:3 * slab.stop].reshape(ms, 3, n, 3)
-        _form_blocks(part, x, rows.transpose(1, 3, 2, 0),
-                     block[3 * n * ms:4 * n * ms].reshape(n, ms))
+        # the block formation's offsets and scratch, 4 values an unknown and
+        # a point, go into the block in groups of unknowns that fit it
+        for group in _point_slabs(n, len(block) // (4 * ms)):
+            _form_blocks(part[group], points[slab], points[group],
+                         rows[:, :, group].transpose(1, 3, 2, 0), block)
     return A
 
 
@@ -244,33 +241,38 @@ def _skew(r):
 
     Row i of K is e_i x r, because (e_i x r) . f = (r x f) . e_i.
     """
-    return np.cross(np.eye(3), r[..., None, :])
+    return _cross(np.eye(3), r[..., None, :])
+
+
+def _vertex_weights(mesh: TriMesh):
+    """Force weights w, shape (N,): each corner's hat function integrates to
+    BH/6 on its face. Each sum adds in face order from 0, as a scatter-add
+    over mesh.faces does, and so do the torque blocks' (`_vertex_moments`)."""
+    return np.bincount(mesh.faces.ravel(), np.repeat(mesh.frames.BH / 6.0, 3),
+                       minlength=mesh.num_vertices)
 
 
 def _vertex_moments(mesh: TriMesh, center):
     """Force weights w, shape (N,), and torque blocks C, shape (N, 3, 3).
 
     For vertex force densities f the exact surface integrals of the linear
-    interpolant are: net force sum_j w[j] f[j], and net torque about `center`
-    sum_j C[j] @ f[j]. On a face of area BH/2 each corner's hat function
-    integrates to BH/6, and its first moment is BH/24 (y0 + y1 + y2 + y_j).
+    interpolant are: net force sum_j w[j] f[j] (`_vertex_weights`), and net
+    torque about `center` sum_j C[j] @ f[j]. On a face of area BH/2 each
+    corner's hat function has the first moment BH/24 (y0 + y1 + y2 + y_j).
     """
-    n = mesh.num_vertices
-    bh = mesh.frames.BH
     corners = mesh.vertices[mesh.faces]  # (F, 3, 3): face, corner, xyz
     lever = corners.sum(axis=1)[:, None, :] + corners - 4.0 * center
-    weights = np.zeros(n)
-    np.add.at(weights, mesh.faces, (bh / 6.0)[:, None])
-    blocks = np.zeros((n, 3, 3))
-    np.add.at(blocks, mesh.faces, (bh / 24.0)[:, None, None, None] * _skew(lever))
-    return weights, blocks
+    moments = (mesh.frames.BH / 24.0)[:, None, None, None] * _skew(lever)
+    entries = 9 * mesh.faces[..., None] + np.arange(9)  # vertex, then 3x3 entry
+    blocks = np.bincount(entries.ravel(), moments.ravel(),
+                         minlength=9 * mesh.num_vertices)
+    return _vertex_weights(mesh), blocks.reshape(-1, 3, 3)
 
 
 def net_force(mesh: TriMesh, forces) -> np.ndarray:
     """Total force: integral of the piecewise-linear density over the surface."""
     forces = _as_rows(forces, mesh.num_vertices, "forces")
-    weights, _ = _vertex_moments(mesh, np.zeros(3))
-    return weights @ forces
+    return _vertex_weights(mesh) @ forces
 
 
 def net_torque(mesh: TriMesh, forces, center) -> np.ndarray:
@@ -325,7 +327,7 @@ def baseline_mrs_velocity(mesh: TriMesh, forces, points, params: KernelParams):
     """Velocity from weighted point Stokeslets at the vertices."""
     forces = _as_rows(forces, mesh.num_vertices, "forces")
     pts = _as_points(points)
-    w, _ = _vertex_moments(mesh, np.zeros(3))
+    w = _vertex_weights(mesh)
     S = point_stokeslet(pts[:, None, :], mesh.vertices[None, :, :], params)
     return np.einsum("mnij,nj->mi", S, w[:, None] * forces) / (8.0 * np.pi * params.mu)
 

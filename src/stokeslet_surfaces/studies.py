@@ -28,6 +28,7 @@ from . import reference as ref
 from . import solver
 from .errors import MeshFormatError
 from .geometry import (
+    _cross,
     make_box_mesh,
     make_icosphere,
     make_pipe_mesh,
@@ -148,7 +149,7 @@ def _rigid_sphere(mesh, kind, a, mu):
     # is 0/0 at a vertex on the origin (possible in a mesh file)
     with np.errstate(divide="ignore", invalid="ignore"):
         tractions = ref.sphere_rotation_reference(mesh.vertices, a, Om, mu)[0]
-    return tractions, np.cross(Om, mesh.vertices)
+    return tractions, _cross(Om, mesh.vertices)
 
 
 def _squirmer_slip(mesh):
@@ -249,7 +250,7 @@ def _forward_spheroid(report, *, f_values=(4, 5, 6), eps_values=(1e-4,),
               for grading in grading_values for f in f_values)
     for grading, mesh, key, kp in _sweep(meshes, eps_values, mu):
         tractions = ref.spheroid_rotation_reference(mesh.vertices, a, b, mu)[0]
-        target = np.cross([0.0, 0.0, 1.0], mesh.vertices)
+        target = _cross([0.0, 0.0, 1.0], mesh.vertices)
         u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
         point_err = np.linalg.norm(u - target, axis=1)
         zfrac = np.abs(mesh.vertices[:, 2]) / a

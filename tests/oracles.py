@@ -116,7 +116,8 @@ def basis_blocks(xf, frame, params, constant=False):
     faces around each collocation point and forms each block once."""
     from stokeslet_surfaces import kernel
 
-    c, S, x, v, w, s = kernel._basis_terms(xf, frame, params, constant)
+    t, x, v, w, s = kernel._basis_terms(xf, frame, params, constant)
+    c, S = t[:, 0] + params.eps**2 * t[:, 1], t[:, 1:]
     cols = (x, np.broadcast_to(v, x.shape), np.broadcast_to(w, x.shape))
     blocks = np.zeros((len(x), 3, 3) + x.shape[2:], dtype=x.dtype)
     for a, row in enumerate(kernel._S_ROWS):
@@ -125,6 +126,22 @@ def basis_blocks(xf, frame, params, constant=False):
     for i in range(3):
         blocks[:, i, i] += c
     return s * blocks
+
+
+def scatter_vertex_moments(mesh, center):
+    """(weights, torque blocks) of `solver._vertex_moments`, each summed by
+    a scatter-add of every corner's term into its vertex, face by face, and
+    the lever arms' cross products taken by numpy's cross."""
+    n = mesh.num_vertices
+    bh = mesh.frames.BH
+    corners = mesh.vertices[mesh.faces]  # (F, 3, 3): face, corner, xyz
+    lever = corners.sum(axis=1)[:, None, :] + corners - 4.0 * center
+    weights = np.zeros(n)
+    np.add.at(weights, mesh.faces, (bh / 6.0)[:, None])
+    blocks = np.zeros((n, 3, 3))
+    skew = np.cross(np.eye(3), lever[..., None, :])
+    np.add.at(blocks, mesh.faces, (bh / 24.0)[:, None, None, None] * skew)
+    return weights, blocks
 
 
 def random_triangle_case(rng, eps_range=(1e-2, 1.0), scale=1.0):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
@@ -26,7 +27,7 @@ from stokeslet_surfaces import (
     triangle_frame,
     write_mesh,
 )
-from stokeslet_surfaces.geometry import _has_close_pair
+from stokeslet_surfaces.geometry import _cross, _has_close_pair
 
 
 @pytest.mark.parametrize("f", [1, 2, 4, 6, 8])
@@ -429,3 +430,34 @@ def test_merging_surfaces_that_share_a_vertex_rejected():
     b = a.transformed(translation=2.0 * a.vertices[0])
     with pytest.raises(MeshFormatError, match="duplicate vertices"):
         a.merged_with(b)
+
+
+# The operand shapes the package passes to _cross, N = None: one vector and
+# one vector or N points (the references, the studies' rigid motions),
+# _skew's identity against levers of shape (N, 1, 3) or (N, 3, 1, 3), and
+# the frames' per-face rows, (F, 3) x (F, 3) and (F, 1, 3) x (F, 3, 3).
+_CROSS_SHAPES = (((3,), (3,)), ((3,), (None, 3)), ((3, 3), (None, 1, 3)),
+                 ((3, 3), (None, 3, 1, 3)), ((None, 3), (None, 3)),
+                 ((None, 1, 3), (None, 3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shapes=st.sampled_from(_CROSS_SHAPES), n=st.integers(0, 5),
+       dtypes=st.sampled_from([(np.float64, np.float64), (np.longdouble, np.longdouble),
+                               (np.float64, np.longdouble)]),
+       swap=st.booleans(), listed=st.booleans())
+def test_cross_equals_numpys_cross_bit_for_bit(data, shapes, n, dtypes, swap, listed):
+    # bounded so that no product overflows; the longdouble operands are
+    # divided by 3 in longdouble, which fills its wider mantissa
+    elements = st.floats(-1e100, 1e100)
+    a, b = (data.draw(hnp.arrays(np.float64, tuple(n if d is None else d for d in shape),
+                                 elements=elements)).astype(dtype) / dtype(3)
+            for shape, dtype in zip(shapes, dtypes))
+    if swap:
+        a, b = b, a
+    if listed and a.ndim == 1:  # a list, as the studies pass the rotation axis
+        a = a.tolist()
+    got, want = _cross(a, b), np.cross(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

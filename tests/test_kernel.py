@@ -49,7 +49,7 @@ def _sides_at(frame, xf, eps, s=0):
     xb = np.asarray(xf, dtype=float)[:, None, None]
     x = np.stack([xb - y.T[:, :, None] for y in (frame.y0, frame.y1, frame.y2)])
     R = np.sqrt(np.sum(x * x, axis=1) + eps * eps)  # (3, 1, 1)
-    S, c001 = _sides(frame, x, R, eps)
+    S, c001, _ = _sides(frame, x, R, eps)
     assert all(v.shape == (3, 1, 1) for v in (*S.values(), c001))
     return {k: float(v[s, 0, 0]) for k, v in S.items()}, float(c001[s, 0, 0])
 

@@ -50,6 +50,18 @@ def test_sphere_rotation_surface_and_poles():
     assert np.allclose(tp, 0.0) and np.allclose(up, 0.0)
 
 
+def test_sphere_rotation_at_one_point_is_its_row_of_an_array_call():
+    # the benchmark's field evaluation calls the reference point by point
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(40, 3)) * rng.uniform(0.5, 5.0, size=(40, 1))
+    Om = rng.normal(size=3)
+    tractions, velocities = sphere_rotation_reference(x, 1.3, Om, 0.7)
+    for p, traction, u in zip(x, tractions, velocities):
+        one = sphere_rotation_reference(p, 1.3, Om, 0.7)
+        assert one[0].shape == one[1].shape == (3,)
+        assert np.array_equal(one[0], traction) and np.array_equal(one[1], u)
+
+
 def test_sphere_rotation_magnitude():
     rng = np.random.default_rng(0)
     v = rng.normal(size=3)

@@ -24,6 +24,8 @@ from stokeslet_surfaces import (
     evaluate_velocity,
     make_box_mesh,
     make_icosphere,
+    make_pipe_mesh,
+    make_spheroid_mesh,
     mesh_stats,
     net_force,
     net_torque,
@@ -38,7 +40,8 @@ from stokeslet_surfaces import (
 )
 from stokeslet_surfaces import kernel, solver
 from stokeslet_surfaces.studies import B1
-from stokeslet_surfaces.solver import _own_face, _velocity_blocks, _vertex_moments
+from stokeslet_surfaces.solver import (_own_face, _velocity_blocks, _vertex_moments,
+                                       _vertex_weights)
 
 import oracles
 
@@ -164,12 +167,12 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
     basis_terms = kernel._basis_terms
 
     def writes(run):
-        """The output of run() and the (block, S, x) of each kernel call."""
+        """The output of run() and the (block, t, x) of each kernel call."""
         calls = []
 
         def recorded(xf, frame, kp, constant, block):
             terms = basis_terms(xf, frame, kp, constant, block)
-            calls.append((block, terms[1], terms[2]))
+            calls.append((block, terms[0], terms[1]))
             return terms
 
         with monkeypatch.context() as patch:
@@ -186,8 +189,8 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
     for calls in (assembly, evaluation):
         first = calls[0][0]
         assert all(block is first for block, _, _ in calls)
-        assert all(np.shares_memory(S, first) and np.shares_memory(x, first)
-                   for _, S, x in calls)
+        assert all(np.shares_memory(t, first) and np.shares_memory(x, first)
+                   for _, t, x in calls)
 
     stacked = _one_face_matrix(mesh, points, unknowns, params, constant)
     assert np.abs(A - stacked).max() <= 2e-15 * np.abs(stacked).max()
@@ -197,6 +200,31 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
         one_face += kernel._velocity(field, mesh.frames.select(slice(p, p + 1)),
                                      basis_forces[p:p + 1], params, constant)
     assert np.array_equal(u, one_face.T)
+
+
+def test_assembly_forms_its_blocks_within_the_kernel_calls_block(monkeypatch):
+    # The block formation's offsets and scratch, 4 values an unknown and a
+    # point, go into the block in groups of unknowns. Sized for all 362
+    # unknowns of f=6 at once, at 181 points a slab, the block grew from
+    # the kernel calls' 1.67 MB to 2.10 MB (4.4 MB at f=8). The groups
+    # change no value of A.
+    mesh, params = make_icosphere(6), KernelParams(eps=1e-3)
+    sizes = []
+    block_for = solver._coefficient_block
+
+    def recorded(num_pairs, *args, scale=1, **kwargs):
+        block = block_for(scale * num_pairs, *args, **kwargs)
+        sizes.append(block.size)
+        return block
+
+    monkeypatch.setattr(solver, "_coefficient_block", recorded)
+    A = assemble_resistance(mesh, params)
+    assert sizes == [17 * 3 * solver._CHUNK_PAIRS]
+    # a block twice as large holds all the unknowns in one group
+    monkeypatch.setattr(solver, "_coefficient_block",
+                        lambda *args, **kwargs: recorded(*args, scale=2, **kwargs))
+    assert np.array_equal(assemble_resistance(mesh, params), A)
+    assert sizes[1] >= 4 * mesh.num_vertices * 181
 
 
 def test_evaluation_memory_is_bounded_by_its_slabs():
@@ -791,6 +819,23 @@ def test_reuse_keeps_nothing_alive(monkeypatch):
     assemblies.clear()
     del A, mesh
     assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("shape", ["icosphere", "spheroid", "box-in-pipe"])
+def test_vertex_moments_equal_the_scatter_add_bit_for_bit(shape):
+    if shape == "icosphere":
+        mesh = make_icosphere(4).transformed(translation=(0.3, -0.2, 0.1))
+    elif shape == "spheroid":
+        mesh = make_spheroid_mesh(3, 3.0, 1.0, grading=0.5)
+    else:
+        mesh = make_box_mesh((0.1, 0.1, 0.1), 0.25, 0.1).merged_with(
+            make_pipe_mesh(1.0, 0.5, 0.5, 0.25))
+    center = np.array([0.05, -0.3, 0.2])
+    weights, blocks = _vertex_moments(mesh, center)
+    want_weights, want_blocks = oracles.scatter_vertex_moments(mesh, center)
+    assert np.array_equal(weights, want_weights)
+    assert np.array_equal(_vertex_weights(mesh), want_weights)
+    assert np.array_equal(blocks, want_blocks)
 
 
 def test_mrs_weights_sum_to_area(small_sphere):

@@ -82,8 +82,11 @@ def _row_dot(a, b):
 def _cross(a, b):
     """a x b over the last axis, of length 3, of arrays that broadcast, in
     their result dtype: numpy's cross's multiplies and subtracts in its
-    order, so its values bit for bit, without its generic dispatch."""
+    order, so its values bit for bit, without its generic dispatch. Another
+    length raises ValueError, as numpy's cross does for all but 2."""
     a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
+        raise ValueError(f"cross products take 3-vectors, not shapes {a.shape}, {b.shape}")
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     p = a1 * b2

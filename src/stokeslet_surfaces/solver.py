@@ -60,7 +60,8 @@ def _face_chunks(num_faces, num_points):
 
 
 def _point_slabs(num_points, most):
-    """Equal slabs of consecutive points of at most `most` each, as slices."""
+    """Equal slabs of consecutive points (or unknowns) of at most `most`
+    each, as slices."""
     num_slabs = -(-num_points // max(1, most))
     size = max(1, -(-num_points // max(1, num_slabs)))  # 1 for no points
     return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]

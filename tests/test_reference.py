@@ -62,6 +62,15 @@ def test_sphere_rotation_at_one_point_is_its_row_of_an_array_call():
         assert np.array_equal(one[0], traction) and np.array_equal(one[1], u)
 
 
+@pytest.mark.parametrize("x, Om", [([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0]),
+                                   ([[1.0, 2.0, 3.0, 4.0]] * 2, [0.0, 0.0, 1.0]),
+                                   ([1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 0.0]),
+                                   ([1.0, 2.0], [0.0, 0.0, 1.0])])
+def test_sphere_rotation_rejects_vectors_not_of_length_3(x, Om):
+    with pytest.raises(ValueError, match="3-vectors"):
+        sphere_rotation_reference(x, 1.0, Om, 1.0)
+
+
 def test_sphere_rotation_magnitude():
     rng = np.random.default_rng(0)
     v = rng.normal(size=3)

@@ -40,8 +40,7 @@ from stokeslet_surfaces import (
 )
 from stokeslet_surfaces import kernel, solver
 from stokeslet_surfaces.studies import B1
-from stokeslet_surfaces.solver import (_own_face, _velocity_blocks, _vertex_moments,
-                                       _vertex_weights)
+from stokeslet_surfaces.solver import _own_face, _velocity_blocks, _vertex_moments
 
 import oracles
 
@@ -834,7 +833,6 @@ def test_vertex_moments_equal_the_scatter_add_bit_for_bit(shape):
     weights, blocks = _vertex_moments(mesh, center)
     want_weights, want_blocks = oracles.scatter_vertex_moments(mesh, center)
     assert np.array_equal(weights, want_weights)
-    assert np.array_equal(_vertex_weights(mesh), want_weights)
     assert np.array_equal(blocks, want_blocks)
 
 

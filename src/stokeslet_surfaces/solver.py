@@ -102,24 +102,48 @@ def _as_center(center) -> np.ndarray:
     return center
 
 
-def _evaluate(mesh: TriMesh, basis_forces, points, params: KernelParams,
-              constant=False):
-    """Velocity at points, shape (M, 3), from the force of each face's basis
-    functions, shape (F, K, 3): face, basis (the corners, or with `constant`
-    the face), xyz."""
-    params.validate_for_mesh(mesh)
+def _as_sweep(params, values, rows, name: str):
+    """The params of an evaluation as a list of E KernelParams, and `values`
+    as one finite array of shape (E, rows, 3). One KernelParams is a sweep
+    of one, whose values have shape (rows, 3); a sequence of E takes values
+    of shape (E, rows, 3), and anything else raises ValueError."""
+    if isinstance(params, KernelParams):
+        return [params], _as_rows(values, rows, name)[None]
+    params = list(params)
+    if not all(isinstance(kp, KernelParams) for kp in params):
+        raise TypeError("params must be one KernelParams or a sequence of them")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or len(values) != len(params):
+        raise ValueError(f"{name} of a sweep over {len(params)} params must have shape "
+                         f"({len(params)}, {rows}, 3), got {values.shape}")
+    for part in values:
+        _as_rows(part, rows, name)
+    return params, values
+
+
+def _evaluate(mesh: TriMesh, basis_forces, points, params, constant=False):
+    """Velocity at points, shape (E, M, 3), for each of the E KernelParams in
+    `params` from its force of each face's basis functions, basis_forces of
+    shape (E, F, K, 3): params, face, basis (the corners, or with `constant`
+    the face), xyz. Every eps passes the floor check before the first kernel
+    call; each kernel call forms the eps-free geometry of its face chunk and
+    point slab once for all E."""
+    for kp in params:
+        kp.validate_for_mesh(mesh)
     pts = _as_points(points)
-    u = np.zeros((3, len(pts)))
+    u = np.zeros((len(params), 3, len(pts)))
     # slabs of at most 2 * _CHUNK_PAIRS points bound the memory of a call,
-    # about 640 B a point of the slab; the studies and the benchmark
+    # about 780 B a point of the slab; the studies and the benchmark
     # evaluate at most 7200 points, one slab
     slabs = _point_slabs(len(pts), 2 * _CHUNK_PAIRS)
     block = _coefficients(mesh.num_faces, slabs, constant)
     for slab in slabs:
         for chunk in _face_chunks(mesh.num_faces, slab.stop - slab.start):
-            u[:, slab] += _velocity(pts[slab], mesh.frames.select(chunk),
-                                    basis_forces[chunk], params, constant, block)
-    return np.ascontiguousarray(u.T)
+            velocities = _velocity(pts[slab], mesh.frames.select(chunk),
+                                   basis_forces[:, chunk], params, constant, block)
+            for u_e, velocity in zip(u, velocities):
+                u_e[:, slab] += velocity
+    return np.ascontiguousarray(u.transpose(0, 2, 1))
 
 
 def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
@@ -170,10 +194,17 @@ def _own_face(mesh: TriMesh) -> np.ndarray:
     return np.arange(mesh.num_faces)[:, None]
 
 
-def evaluate_velocity(mesh: TriMesh, forces, points, params: KernelParams) -> np.ndarray:
-    """Velocity at arbitrary points from vertex force densities, shape (M, 3)."""
-    forces = _as_rows(forces, mesh.num_vertices, "forces")
-    return _evaluate(mesh, forces[mesh.faces], points, params)
+def evaluate_velocity(mesh: TriMesh, forces, points, params) -> np.ndarray:
+    """Velocity at arbitrary points from vertex force densities, shape (M, 3).
+
+    `params` may also be a sequence of E KernelParams, with forces of shape
+    (E, N, 3): the result, shape (E, M, 3), holds at e the velocity of
+    forces[e] under params[e], bit for bit the one-params evaluation. The
+    eps-free part of the kernel is then computed once for all E.
+    """
+    sweep, forces = _as_sweep(params, forces, mesh.num_vertices, "forces")
+    u = _evaluate(mesh, forces[:, mesh.faces], points, sweep)
+    return u[0] if isinstance(params, KernelParams) else u
 
 
 # (mesh, params, A) of the last matrix assemble_resistance returned: weak
@@ -344,6 +375,10 @@ def constant_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndar
 
 
 def constant_evaluate_velocity(mesh: TriMesh, face_forces, points,
-                               params: KernelParams) -> np.ndarray:
-    face_forces = _as_rows(face_forces, mesh.num_faces, "face_forces")
-    return _evaluate(mesh, face_forces[:, None], points, params, constant=True)
+                               params) -> np.ndarray:
+    """Velocity at arbitrary points from per-face constant force densities,
+    shape (M, 3); a sequence of E params takes face_forces of shape
+    (E, F, 3) and gives shape (E, M, 3), as `evaluate_velocity` does."""
+    sweep, face_forces = _as_sweep(params, face_forces, mesh.num_faces, "face_forces")
+    u = _evaluate(mesh, face_forces[:, :, None], points, sweep, constant=True)
+    return u[0] if isinstance(params, KernelParams) else u

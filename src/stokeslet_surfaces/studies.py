@@ -185,13 +185,18 @@ def _spheres(a, f_values):
 
 
 def _sweep(meshes, eps_values, mu):
-    """(label, mesh, row key, kernel parameters) of each grid point, eps
-    fastest. Every eps and mu is checked before the first mesh is built."""
+    """(label, mesh, row key, the kernel parameters of every eps) of each
+    mesh; a study's rows take the eps in this order on each mesh. Every eps
+    and mu is checked before the first mesh is built."""
     params = [KernelParams(eps=eps, mu=mu) for eps in eps_values]
     for label, mesh in meshes:
-        key = _row_key(mesh)
-        for kp in params:
-            yield label, mesh, key, kp
+        yield label, mesh, _row_key(mesh), params
+
+
+def _each(values, params):
+    """values, the same under every params of a sweep, as an evaluation
+    sweep's (E, ...) array."""
+    return np.broadcast_to(values, (len(params),) + np.shape(values))
 
 
 def _vertex_error(u, target):
@@ -201,10 +206,11 @@ def _vertex_error(u, target):
 
 def _forward_sphere(kind, report, *, f_values=range(2, 9), eps_values=(1e-4,),
                     a=1.0, mu=1.0):
-    for _, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
+    for _, mesh, key, params in _sweep(_spheres(a, f_values), eps_values, mu):
         tractions, target = _rigid_sphere(mesh, kind, a, mu)
-        u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
-        report.add(*key, kp.eps, "l2_error", _vertex_error(u, target))
+        u = solver.evaluate_velocity(mesh, _each(tractions, params), mesh.vertices, params)
+        for kp, u_e in zip(params, u):
+            report.add(*key, kp.eps, "l2_error", _vertex_error(u_e, target))
     _add_slope(report, "l2_error")
 
 
@@ -222,24 +228,25 @@ def _add_slope(report, metric):
 
 def _resistance_sphere(kind, report, *, f_values=range(2, 7), eps_values=(1e-4,),
                        a=1.0, mu=1.0):
-    for _, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
+    for _, mesh, key, params in _sweep(_spheres(a, f_values), eps_values, mu):
         _, bc = _rigid_sphere(mesh, kind, a, mu)
-        matrix = solver.assemble_resistance(mesh, kp)
-        forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
-        if kind == "translate":
-            drag = -solver.net_force(mesh, forces)
-            target = -6.0 * np.pi * mu * a
-            report.add(*key, kp.eps, "drag_x_rel_error",
-                       abs(drag[0] - target) / abs(target))
-            report.add(*key, kp.eps, "drag_y_abs_error", abs(drag[1]))
-            report.add(*key, kp.eps, "drag_z_abs_error", abs(drag[2]))
-        else:
-            torque = -solver.net_torque(mesh, forces, center=np.zeros(3))
-            target = -8.0 * np.pi * mu * a**3
-            report.add(*key, kp.eps, "torque_z_rel_error",
-                       abs(torque[2] - target) / abs(target))
-            report.add(*key, kp.eps, "torque_xy_abs_error",
-                       float(np.hypot(torque[0], torque[1])))
+        for kp in params:
+            matrix = solver.assemble_resistance(mesh, kp)
+            forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
+            if kind == "translate":
+                drag = -solver.net_force(mesh, forces)
+                target = -6.0 * np.pi * mu * a
+                report.add(*key, kp.eps, "drag_x_rel_error",
+                           abs(drag[0] - target) / abs(target))
+                report.add(*key, kp.eps, "drag_y_abs_error", abs(drag[1]))
+                report.add(*key, kp.eps, "drag_z_abs_error", abs(drag[2]))
+            else:
+                torque = -solver.net_torque(mesh, forces, center=np.zeros(3))
+                target = -8.0 * np.pi * mu * a**3
+                report.add(*key, kp.eps, "torque_z_rel_error",
+                           abs(torque[2] - target) / abs(target))
+                report.add(*key, kp.eps, "torque_xy_abs_error",
+                           float(np.hypot(torque[0], torque[1])))
     metric = "drag_x_rel_error" if kind == "translate" else "torque_z_rel_error"
     _add_slope(report, metric)
 
@@ -248,46 +255,51 @@ def _forward_spheroid(report, *, f_values=(4, 5, 6), eps_values=(1e-4,),
                       grading_values=(0.0,), a=3.0, b=1.0, mu=1.0):
     meshes = ((grading, make_spheroid_mesh(f, a, b, grading=grading))
               for grading in grading_values for f in f_values)
-    for grading, mesh, key, kp in _sweep(meshes, eps_values, mu):
+    for grading, mesh, key, params in _sweep(meshes, eps_values, mu):
         tractions = ref.spheroid_rotation_reference(mesh.vertices, a, b, mu)[0]
         target = _cross([0.0, 0.0, 1.0], mesh.vertices)
-        u = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
-        point_err = np.linalg.norm(u - target, axis=1)
         zfrac = np.abs(mesh.vertices[:, 2]) / a
-        polar = point_err[zfrac > 0.9]
-        equator = point_err[zfrac < 0.3]
         tag = f"grading={grading:g}:"
-        report.add(*key, kp.eps, tag + "l2_error", ref.l2_error(point_err))
-        report.add(*key, kp.eps, tag + "polar_max_error",
-                   polar.max() if polar.size else 0.0)
-        report.add(*key, kp.eps, tag + "equator_median_error",
-                   np.median(equator) if equator.size else 0.0)
+        u = solver.evaluate_velocity(mesh, _each(tractions, params), mesh.vertices, params)
+        for kp, u_e in zip(params, u):
+            point_err = np.linalg.norm(u_e - target, axis=1)
+            polar = point_err[zfrac > 0.9]
+            equator = point_err[zfrac < 0.3]
+            report.add(*key, kp.eps, tag + "l2_error", ref.l2_error(point_err))
+            report.add(*key, kp.eps, tag + "polar_max_error",
+                       polar.max() if polar.size else 0.0)
+            report.add(*key, kp.eps, tag + "equator_median_error",
+                       np.median(equator) if equator.size else 0.0)
 
 
 def _squirmer(report, *, f_values=range(3, 9), eps_values=(1e-4,), a=1.0, mu=1.0):
-    for _, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
-        sol = solver.solve_swimmer(mesh, _squirmer_slip(mesh), kp, center=np.zeros(3))
-        report.add(*key, kp.eps, "U_z_error", abs(sol.U[2] - (2.0 / 3.0) * B1))
-        report.add(*key, kp.eps, "U_xy", float(np.hypot(*sol.U[:2])))
-        report.add(*key, kp.eps, "Omega_norm", float(np.linalg.norm(sol.Omega)))
+    for _, mesh, key, params in _sweep(_spheres(a, f_values), eps_values, mu):
+        slip = _squirmer_slip(mesh)
+        for kp in params:
+            sol = solver.solve_swimmer(mesh, slip, kp, center=np.zeros(3))
+            report.add(*key, kp.eps, "U_z_error", abs(sol.U[2] - (2.0 / 3.0) * B1))
+            report.add(*key, kp.eps, "U_xy", float(np.hypot(*sol.U[:2])))
+            report.add(*key, kp.eps, "Omega_norm", float(np.linalg.norm(sol.Omega)))
     _add_slope(report, "U_z_error")
 
 
 def _linear_vs_constant(report, *, f_values=range(2, 7), eps_values=(1e-4,),
                         a=1.0, mu=1.0):
-    for f, mesh, key, kp in _sweep(_spheres(a, f_values), eps_values, mu):
+    for f, mesh, key, params in _sweep(_spheres(a, f_values), eps_values, mu):
         tractions, target = _rigid_sphere(mesh, "rotate", a, mu)
         face_tractions = tractions[mesh.faces].mean(axis=1)
-        u_lin = solver.evaluate_velocity(mesh, tractions, mesh.vertices, kp)
-        u_con = solver.constant_evaluate_velocity(mesh, face_tractions,
-                                                  mesh.vertices, kp)
-        report.add(*key, kp.eps, "linear_l2_error", _vertex_error(u_lin, target))
-        report.add(*key, kp.eps, "constant_l2_error", _vertex_error(u_con, target))
-        if f == CONDITION_F:
-            report.add(*key, kp.eps, "condition_linear",
-                       np.linalg.cond(solver.assemble_resistance(mesh, kp)))
-            report.add(*key, kp.eps, "condition_constant",
-                       np.linalg.cond(solver.constant_assemble_resistance(mesh, kp)))
+        u_lin = solver.evaluate_velocity(mesh, _each(tractions, params), mesh.vertices,
+                                         params)
+        u_con = solver.constant_evaluate_velocity(mesh, _each(face_tractions, params),
+                                                  mesh.vertices, params)
+        for kp, u_lin_e, u_con_e in zip(params, u_lin, u_con):
+            report.add(*key, kp.eps, "linear_l2_error", _vertex_error(u_lin_e, target))
+            report.add(*key, kp.eps, "constant_l2_error", _vertex_error(u_con_e, target))
+            if f == CONDITION_F:
+                report.add(*key, kp.eps, "condition_linear",
+                           np.linalg.cond(solver.assemble_resistance(mesh, kp)))
+                report.add(*key, kp.eps, "condition_constant",
+                           np.linalg.cond(solver.constant_assemble_resistance(mesh, kp)))
 
 
 def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
@@ -305,12 +317,13 @@ def _mrs_comparison(report, *, f_values=(4,), eps_values=None,
             floor = epsilon_floor(mesh)
             surface_params = [KernelParams(eps=eps, mu=mu)
                               for eps in (1e-4, 1e-6, 1e-8) if eps > floor]
-        for metric, evaluate, params in (
-                ("surfaces_l2_error", solver.evaluate_velocity, surface_params),
-                ("mrs_l2_error", solver.baseline_mrs_velocity, mrs_params)):
-            for kp in params:
-                u = evaluate(mesh, tractions, mesh.vertices, kp)
-                report.add(*key, kp.eps, metric, _vertex_error(u, target))
+        u = solver.evaluate_velocity(mesh, _each(tractions, surface_params),
+                                     mesh.vertices, surface_params)
+        for kp, u_e in zip(surface_params, u):
+            report.add(*key, kp.eps, "surfaces_l2_error", _vertex_error(u_e, target))
+        for kp in mrs_params:
+            u = solver.baseline_mrs_velocity(mesh, tractions, mesh.vertices, kp)
+            report.add(*key, kp.eps, "mrs_l2_error", _vertex_error(u, target))
 
 
 def _triangle_quadrature_points(frame):
@@ -365,14 +378,17 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
             on_side = np.abs(frames.nhat @ nhat - 1.0) <= 1e-12
             qpts, qwts = _triangle_quadrature_points(frames.select(on_side))
             sides.append((nhat, qpts, qwts, u_duct(qpts)))
+        forces = []
         for kp in cube_params:
             matrix = solver.assemble_resistance(mesh, kp)
-            forces = solver.solve_resistance(mesh, bc, kp, matrix=matrix)
-            leaks = []
-            for nhat, qpts, qwts, u_qpts in sides:
-                u = solver.evaluate_velocity(mesh, forces, qpts, kp) + u_qpts
-                leaks.append(float(np.sum(qwts * np.abs(u @ nhat))) / flux0)
-            front, back = leaks
+            forces.append(solver.solve_resistance(mesh, bc, kp, matrix=matrix))
+        # each side's leak under every eps, from one evaluation of the sweep
+        leaks = []
+        for nhat, qpts, qwts, u_qpts in sides:
+            u = solver.evaluate_velocity(mesh, forces, qpts, cube_params)
+            leaks.append([float(np.sum(qwts * np.abs((u_e + u_qpts) @ nhat))) / flux0
+                          for u_e in u])
+        for kp, front, back in zip(cube_params, *leaks):
             report.add(*key, kp.eps, "leak_front", front)
             report.add(*key, kp.eps, "scaled_leak", front * h_cube ** (-1.5))
             report.add(*key, kp.eps, "leak_back", back)

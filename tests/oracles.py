@@ -111,12 +111,13 @@ def triangle_velocity_reference(xf, frame, f0, f1, f2, eps, mu, tol=1e-11):
 def basis_blocks(xf, frame, params, constant=False):
     """Each basis function's block M_k = s (c_k I + [x_k v w] S_k [x_k v w]^T),
     shape (K, 3, 3, F, M): basis, velocity component, force component, face,
-    point, formed entry by entry from `kernel._basis_terms` in the dtype of
-    xf and the frame. Assembly instead adds the terms of the blocks over the
+    point, formed entry by entry from `kernel._basis_terms` of the frame's
+    `kernel._geometry` at xf, in the dtype of xf and the frame. Assembly instead adds the terms of the blocks over the
     faces around each collocation point and forms each block once."""
     from stokeslet_surfaces import kernel
 
-    t, x, v, w, s = kernel._basis_terms(xf, frame, params, constant)
+    geometry = kernel._geometry(xf, frame, constant)
+    t, x, v, w, s = kernel._basis_terms(geometry, frame, params, constant)
     c, S = t[:, 0] + params.eps**2 * t[:, 1], t[:, 1:]
     cols = (x, np.broadcast_to(v, x.shape), np.broadcast_to(w, x.shape))
     blocks = np.zeros((len(x), 3, 3) + x.shape[2:], dtype=x.dtype)

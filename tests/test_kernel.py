@@ -14,7 +14,7 @@ from stokeslet_surfaces import (
     triangle_frame,
     triangle_velocity,
 )
-from stokeslet_surfaces.kernel import _frame_floor, _reversed, _sides
+from stokeslet_surfaces.kernel import _frame_floor, _geometry, _reversed, _sides
 
 import oracles
 
@@ -46,10 +46,9 @@ def _sides_at(frame, xf, eps, s=0):
     """Segment integrals S[m, q] of side s (corner s to corner s + 1 mod 3)
     of a one-face frame at one field point, and the side's c001 term, as
     floats."""
-    xb = np.asarray(xf, dtype=float)[:, None, None]
-    x = np.stack([xb - y.T[:, :, None] for y in (frame.y0, frame.y1, frame.y2)])
-    R = np.sqrt(np.sum(x * x, axis=1) + eps * eps)  # (3, 1, 1)
-    S, c001, _ = _sides(frame, x, R, eps)
+    g = _geometry(np.asarray(xf, dtype=float)[None], frame)
+    R = np.sqrt(g.r2 + eps * eps)  # (3, 1, 1)
+    S, c001 = _sides(g, R, eps)
     assert all(v.shape == (3, 1, 1) for v in (*S.values(), c001))
     return {k: float(v[s, 0, 0]) for k, v in S.items()}, float(c001[s, 0, 0])
 

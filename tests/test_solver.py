@@ -143,10 +143,11 @@ def _one_face_matrix(mesh, points, unknowns, params, constant):
 def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
                                                                    monkeypatch):
     # Each assembly and each evaluation allocates one coefficient block, and
-    # every kernel call of it writes its coefficients and corner offsets
-    # there. Assembly on f=3 in slabs of 8 points and chunks of 16 faces
-    # (a budget of 128 pairs), and evaluation at 5000 points, one face a
-    # call, both equal one kernel call a face, each with a block of its own:
+    # every kernel call of it writes its eps-free geometry, the corner
+    # offsets among it, and its coefficients there. Assembly on f=3 in slabs
+    # of 8 points and chunks of 16 faces (a budget of 128 pairs), and
+    # evaluation at 5000 points, one face a call, both equal one kernel call
+    # a face, each with a block of its own:
     # evaluation bit for bit, and assembly, which forms each unknown's block
     # from terms summed over its faces, within 1.3e-15 (linear) and 2.5e-16
     # (constant) of max|A| of the one-face blocks, bounded here by 2e-15.
@@ -163,19 +164,19 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
     forces = rng.normal(size=(unknowns.max() + 1, 3))
     dirs = rng.normal(size=(5000, 3))
     field = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    basis_terms = kernel._basis_terms
+    geometry = kernel._geometry
 
     def writes(run):
         """The output of run() and the (block, t, x) of each kernel call."""
         calls = []
 
-        def recorded(xf, frame, kp, constant, block):
-            terms = basis_terms(xf, frame, kp, constant, block)
-            calls.append((block, terms[0], terms[1]))
-            return terms
+        def recorded(xf, frame, constant, block):
+            g = geometry(xf, frame, constant, block)
+            calls.append((block, g.t, g.x))
+            return g
 
         with monkeypatch.context() as patch:
-            patch.setattr(kernel, "_basis_terms", recorded)
+            patch.setattr(kernel, "_geometry", recorded)
             return run(), calls
 
     with monkeypatch.context() as patch:
@@ -197,7 +198,7 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
     one_face = np.zeros((3, len(field)))
     for p in range(mesh.num_faces):
         one_face += kernel._velocity(field, mesh.frames.select(slice(p, p + 1)),
-                                     basis_forces[p:p + 1], params, constant)
+                                     basis_forces[None, p:p + 1], [params], constant)[0]
     assert np.array_equal(u, one_face.T)
 
 
@@ -473,6 +474,87 @@ def test_evaluation_at_no_points(small_sphere):
     face_forces = np.ones((small_sphere.num_faces, 3))
     u = constant_evaluate_velocity(small_sphere, face_forces, none, params)
     assert u.shape == (0, 3)
+
+
+_SWEEP_MESHES = {
+    "icosphere": lambda: make_icosphere(1),
+    "graded-spheroid": lambda: make_spheroid_mesh(2, 3.0, 1.0, grading=0.5),
+    "box-in-pipe": lambda: make_box_mesh((0.1, 0.1, 0.1), 0.25, 0.5).merged_with(
+        make_pipe_mesh(1.0, 0.5, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("elements", ["linear", "constant"])
+@pytest.mark.parametrize("shape", list(_SWEEP_MESHES))
+def test_sweep_entries_equal_one_params_evaluations(shape, elements, monkeypatch):
+    # A sweep over E params forms each kernel call's eps-free geometry once
+    # and each params' coefficients from it: entry e equals the evaluation
+    # of forces[e] under params[e] alone bit for bit, for E = 1, 2 and 4.
+    # 8300 points make two slabs, each in one-face chunks.
+    mesh = _SWEEP_MESHES[shape]()
+    rng = np.random.default_rng(23)
+    if elements == "linear":
+        evaluate, rows = evaluate_velocity, mesh.num_vertices
+    else:
+        evaluate, rows = constant_evaluate_velocity, mesh.num_faces
+    params = [KernelParams(eps=eps, mu=mu)
+              for eps, mu in ((1e-4, 1.0), (3e-2, 0.7), (1e-3, 1.0), (0.4, 2.5))]
+    forces = rng.normal(size=(len(params), rows, 3))
+    dirs = rng.normal(size=(8300, 3))
+    points = dirs * (rng.uniform(0.05, 3.0, 8300) / np.linalg.norm(dirs, axis=1))[:, None]
+    alone = [evaluate(mesh, f, points, kp) for f, kp in zip(forces, params)]
+    calls = []
+    kernel_velocity = solver._velocity
+
+    def recorded(xf, frame, *args):
+        calls.append(len(frame.BH))
+        return kernel_velocity(xf, frame, *args)
+
+    monkeypatch.setattr(solver, "_velocity", recorded)
+    for E in (1, 2, 4):
+        calls.clear()
+        u = evaluate(mesh, forces[:E], points, params[:E])
+        assert u.shape == (E, len(points), 3)
+        assert all(np.array_equal(u_e, want) for u_e, want in zip(u, alone))
+        assert calls == [1] * (2 * mesh.num_faces)  # two slabs of one-face calls
+    assert not np.array_equal(alone[0], alone[1])
+
+
+@pytest.mark.parametrize("elements", ["linear", "constant"])
+def test_sweep_checks_every_eps_before_any_kernel_call(small_sphere, elements,
+                                                      monkeypatch):
+    # one eps at the floor stops the sweep before any kernel work is done
+    floor = epsilon_floor(small_sphere)
+    params = [KernelParams(eps=1e-2), KernelParams(eps=floor), KernelParams(eps=1e-3)]
+    rows = small_sphere.num_vertices if elements == "linear" else small_sphere.num_faces
+    evaluate = evaluate_velocity if elements == "linear" else constant_evaluate_velocity
+    calls = []
+    monkeypatch.setattr(solver, "_velocity", lambda *args: calls.append(args))
+    with pytest.raises(FloatingFloorError):
+        evaluate(small_sphere, np.ones((3, rows, 3)), [[2.0, 0.0, 0.0]], params)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", ["(3, N, 3)", "(N, 3)", "(1, N, 3)", "(2, N)"])
+def test_sweep_with_forces_of_another_length_rejected(small_sphere, shape):
+    n = small_sphere.num_vertices
+    forces = np.ones({"(3, N, 3)": (3, n, 3), "(N, 3)": (n, 3), "(1, N, 3)": (1, n, 3),
+                      "(2, N)": (2, n)}[shape])
+    params = [KernelParams(eps=1e-2), KernelParams(eps=1e-3)]
+    with pytest.raises(ValueError, match="must have shape"):
+        evaluate_velocity(small_sphere, forces, [[2.0, 0.0, 0.0]], params)
+
+
+def test_one_params_takes_one_set_of_forces(small_sphere):
+    forces = np.ones((1, small_sphere.num_vertices, 3))
+    with pytest.raises(ValueError, match="must have shape"):
+        evaluate_velocity(small_sphere, forces, [[2.0, 0.0, 0.0]], KernelParams(eps=1e-2))
+
+
+def test_sweep_of_no_params_evaluates_nothing(small_sphere):
+    forces = np.zeros((0, small_sphere.num_vertices, 3))
+    u = evaluate_velocity(small_sphere, forces, [[2.0, 0.0, 0.0]], [])
+    assert u.shape == (0, 1, 3)
 
 
 def test_resistance_round_trip(small_sphere):
@@ -898,8 +980,8 @@ def test_constant_elements_skip_only_moments_they_never_read(f, monkeypatch):
     skipped = run()
     full_table = kernel._t_table_arrays
     monkeypatch.setattr(kernel, "_t_table_arrays",
-                        lambda xf, frame, eps, out=None, constant=False:
-                        full_table(xf, frame, eps, out=out))
+                        lambda geometry, eps, constant=False:
+                        full_table(geometry, eps))
     for got, want in zip(skipped, run()):
         assert np.array_equal(got, want)
 

@@ -111,6 +111,33 @@ def test_duct_no_wider_than_the_cube_rejected_before_any_mesh_is_built(monkeypat
     assert boxes == [] and pipes == []
 
 
+@pytest.mark.parametrize("study_id, params, entry, sweeps", [
+    ("forward-translate", {"f_values": [2, 3], "eps_values": [1e-4, 1e-2, 1e-3]},
+     "evaluate_velocity", [3, 3]),
+    ("forward-spheroid", {"f_values": [2], "grading_values": [0.0, 0.5],
+                          "eps_values": [1e-4, 1e-2]}, "evaluate_velocity", [2, 2]),
+    ("linear-vs-constant", {"f_values": [2, 3], "eps_values": [1e-4, 1e-2]},
+     "constant_evaluate_velocity", [2, 2]),
+    ("mrs-comparison", {"f_values": [2, 3], "eps_values": [1e-3, 1e-5]},
+     "evaluate_velocity", [2, 2]),
+    # one sweep for each of the cube's two sides
+    ("pipe-leak", {"h_cube_values": [0.25], "eps_over_h": [0.1, 0.5, 1.0],
+                   "h_pipe": 1.0, "L": 1.0}, "evaluate_velocity", [3, 3]),
+])
+def test_eps_list_at_fixed_points_is_one_evaluation_per_mesh(monkeypatch, study_id,
+                                                             params, entry, sweeps):
+    sizes = []
+    original = getattr(studies.solver, entry)
+
+    def recorded(mesh, forces, points, params):
+        sizes.append(len(params))
+        return original(mesh, forces, points, params)
+
+    monkeypatch.setattr(studies.solver, entry, recorded)
+    run_study(study_id, params)
+    assert sizes == sweeps
+
+
 def test_report_rejects_non_finite():
     report = ExperimentReport(experiment="x")
     with pytest.raises(ValueError):

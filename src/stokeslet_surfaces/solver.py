@@ -279,26 +279,31 @@ def _skew(r):
 def _vertex_weights(mesh: TriMesh):
     """Force weights w, shape (N,): each corner's hat function integrates to
     BH/6 on its face. Each sum adds in face order from 0, as a scatter-add
-    over mesh.faces does, and so do the torque blocks' (`_vertex_moments`)."""
+    over mesh.faces does, and so do the torque blocks' (`_torque_blocks`)."""
     return np.bincount(mesh.faces.ravel(), np.repeat(mesh.frames.BH / 6.0, 3),
                        minlength=mesh.num_vertices)
 
 
-def _vertex_moments(mesh: TriMesh, center):
-    """Force weights w, shape (N,), and torque blocks C, shape (N, 3, 3).
-
-    For vertex force densities f the exact surface integrals of the linear
-    interpolant are: net force sum_j w[j] f[j] (`_vertex_weights`), and net
-    torque about `center` sum_j C[j] @ f[j]. On a face of area BH/2 each
-    corner's hat function has the first moment BH/24 (y0 + y1 + y2 + y_j).
-    """
+def _torque_blocks(mesh: TriMesh, center):
+    """Torque blocks C, shape (N, 3, 3): for vertex force densities f the
+    exact net torque of the linear interpolant about `center` is
+    sum_j C[j] @ f[j]. On a face of area BH/2 each corner's hat function
+    has the first moment BH/24 (y0 + y1 + y2 + y_j)."""
     corners = mesh.vertices[mesh.faces]  # (F, 3, 3): face, corner, xyz
     lever = corners.sum(axis=1)[:, None, :] + corners - 4.0 * center
     moments = (mesh.frames.BH / 24.0)[:, None, None, None] * _skew(lever)
     entries = 9 * mesh.faces[..., None] + np.arange(9)  # vertex, then 3x3 entry
     blocks = np.bincount(entries.ravel(), moments.ravel(),
                          minlength=9 * mesh.num_vertices)
-    return _vertex_weights(mesh), blocks.reshape(-1, 3, 3)
+    return blocks.reshape(-1, 3, 3)
+
+
+def _vertex_moments(mesh: TriMesh, center):
+    """Force weights w, shape (N,), and torque blocks C, shape (N, 3, 3), the
+    net-force and net-torque rows of the swimmer's balance: net force
+    sum_j w[j] f[j] (`_vertex_weights`), net torque about `center`
+    sum_j C[j] @ f[j] (`_torque_blocks`)."""
+    return _vertex_weights(mesh), _torque_blocks(mesh, center)
 
 
 def net_force(mesh: TriMesh, forces) -> np.ndarray:
@@ -310,8 +315,7 @@ def net_force(mesh: TriMesh, forces) -> np.ndarray:
 def net_torque(mesh: TriMesh, forces, center) -> np.ndarray:
     """Total torque about the point `center`."""
     forces = _as_rows(forces, mesh.num_vertices, "forces")
-    _, blocks = _vertex_moments(mesh, _as_center(center))
-    return np.einsum("nij,nj->i", blocks, forces)
+    return np.einsum("nij,nj->i", _torque_blocks(mesh, _as_center(center)), forces)
 
 
 @dataclass(frozen=True)

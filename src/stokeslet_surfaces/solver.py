@@ -106,7 +106,8 @@ def _as_sweep(params, values, rows, name: str):
     """The params of an evaluation as a list of E KernelParams, and `values`
     as one finite array of shape (E, rows, 3). One KernelParams is a sweep
     of one, whose values have shape (rows, 3); a sequence of E takes values
-    of shape (E, rows, 3), and anything else raises ValueError."""
+    of shape (E, rows, 3). Other values raise ValueError, and an entry of
+    the sequence that is not a KernelParams TypeError."""
     if isinstance(params, KernelParams):
         return [params], _as_rows(values, rows, name)[None]
     params = list(params)

@@ -545,6 +545,13 @@ def test_sweep_with_forces_of_another_length_rejected(small_sphere, shape):
         evaluate_velocity(small_sphere, forces, [[2.0, 0.0, 0.0]], params)
 
 
+def test_sweep_of_anything_but_kernel_params_rejected(small_sphere):
+    forces = np.ones((2, small_sphere.num_vertices, 3))
+    with pytest.raises(TypeError, match="KernelParams"):
+        evaluate_velocity(small_sphere, forces, [[2.0, 0.0, 0.0]],
+                          [KernelParams(eps=1e-2), 1e-3])
+
+
 def test_one_params_takes_one_set_of_forces(small_sphere):
     forces = np.ones((1, small_sphere.num_vertices, 3))
     with pytest.raises(ValueError, match="must have shape"):

@@ -46,8 +46,9 @@ point (`_block_map`, `_velocity_blocks`), sums those over the faces around
 each collocation point, and forms each unknown's block once a point
 (`_form_blocks`); it runs one eps a call. A call's largest arrays, the
 geometry among them, go into a flat block (`_coefficient_block`) that the
-caller allocates once for all the calls of an assembly or an evaluation. `t_table` and `triangle_velocity`
-evaluate one face at one point by evaluation's path, after its floor check.
+caller allocates once for all the calls of an assembly or an evaluation.
+`t_table` and `triangle_velocity` evaluate one face at one point by
+evaluation's path, after its floor check.
 """
 
 from __future__ import annotations

@@ -208,7 +208,8 @@ def _forward_sphere(kind, report, *, f_values=range(2, 9), eps_values=(1e-4,),
                     a=1.0, mu=1.0):
     for _, mesh, key, params in _sweep(_spheres(a, f_values), eps_values, mu):
         tractions, target = _rigid_sphere(mesh, kind, a, mu)
-        u = solver.evaluate_velocity(mesh, _each(tractions, params), mesh.vertices, params)
+        u = solver.evaluate_velocity(mesh, _each(tractions, params), mesh.vertices,
+                                     params)
         for kp, u_e in zip(params, u):
             report.add(*key, kp.eps, "l2_error", _vertex_error(u_e, target))
     _add_slope(report, "l2_error")
@@ -260,7 +261,8 @@ def _forward_spheroid(report, *, f_values=(4, 5, 6), eps_values=(1e-4,),
         target = _cross([0.0, 0.0, 1.0], mesh.vertices)
         zfrac = np.abs(mesh.vertices[:, 2]) / a
         tag = f"grading={grading:g}:"
-        u = solver.evaluate_velocity(mesh, _each(tractions, params), mesh.vertices, params)
+        u = solver.evaluate_velocity(mesh, _each(tractions, params), mesh.vertices,
+                                     params)
         for kp, u_e in zip(params, u):
             point_err = np.linalg.norm(u_e - target, axis=1)
             polar = point_err[zfrac > 0.9]

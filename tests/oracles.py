@@ -112,8 +112,9 @@ def basis_blocks(xf, frame, params, constant=False):
     """Each basis function's block M_k = s (c_k I + [x_k v w] S_k [x_k v w]^T),
     shape (K, 3, 3, F, M): basis, velocity component, force component, face,
     point, formed entry by entry from `kernel._basis_terms` of the frame's
-    `kernel._geometry` at xf, in the dtype of xf and the frame. Assembly instead adds the terms of the blocks over the
-    faces around each collocation point and forms each block once."""
+    `kernel._geometry` at xf, in the dtype of xf and the frame. Assembly
+    instead adds the terms of the blocks over the faces around each
+    collocation point and forms each block once."""
     from stokeslet_surfaces import kernel
 
     geometry = kernel._geometry(xf, frame, constant)

@@ -552,12 +552,6 @@ def test_sweep_of_anything_but_kernel_params_rejected(small_sphere):
                           [KernelParams(eps=1e-2), 1e-3])
 
 
-def test_one_params_takes_one_set_of_forces(small_sphere):
-    forces = np.ones((1, small_sphere.num_vertices, 3))
-    with pytest.raises(ValueError, match="must have shape"):
-        evaluate_velocity(small_sphere, forces, [[2.0, 0.0, 0.0]], KernelParams(eps=1e-2))
-
-
 def test_sweep_of_no_params_evaluates_nothing(small_sphere):
     forces = np.zeros((0, small_sphere.num_vertices, 3))
     u = evaluate_velocity(small_sphere, forces, [[2.0, 0.0, 0.0]], [])
@@ -682,13 +676,15 @@ _ROW_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("shape", ["(3,)", "(1, 3)", "(rows,)"])
+@pytest.mark.parametrize("shape", ["(3,)", "(1, 3)", "(rows,)", "(1, rows, 3)"])
 @pytest.mark.parametrize("entry", list(_ROW_ENTRIES))
 def test_malformed_force_arrays_rejected(entry, shape):
-    # per-vertex (per-face for the constant elements) arrays must be (rows, 3)
+    # per-vertex (per-face for the constant elements) arrays must be (rows, 3),
+    # also where one KernelParams is given to an evaluation that takes sweeps
     mesh = make_icosphere(1)
     rows = mesh.num_faces if "constant" in entry else mesh.num_vertices
-    values = np.ones({"(3,)": (3,), "(1, 3)": (1, 3), "(rows,)": (rows,)}[shape])
+    values = np.ones({"(3,)": (3,), "(1, 3)": (1, 3), "(rows,)": (rows,),
+                      "(1, rows, 3)": (1, rows, 3)}[shape])
     with pytest.raises(ValueError, match="must have shape"):
         _ROW_ENTRIES[entry](mesh, values, KernelParams(eps=1e-2))
 

@@ -44,8 +44,10 @@ linear hat or the centroid of a constant density, with coefficients
 batched matmul to ten terms free of the offset x from the collocation
 point (`_block_map`, `_velocity_blocks`), sums those over the faces around
 each collocation point, and forms each unknown's block once a point
-(`_form_blocks`); it runs one eps a call. A call's largest arrays, the
-geometry among them, go into a flat block (`_coefficient_block`) that the
+(`_form_blocks`); it runs one eps a call. Both element kinds take this
+path; past the geometry stage, each stage reads the kind from the number
+of basis functions. A call's largest arrays, the geometry among them, go
+into a flat block (`_coefficient_block`) of one layout for both, that the
 caller allocates once for all the calls of an assembly or an evaluation.
 `t_table` and `triangle_velocity` evaluate one face at one point by
 evaluation's path, after its floor check.
@@ -184,15 +186,15 @@ class _Geometry:
 def _geometry(xf, frame: TriangleFrame, constant=False, block=None) -> _Geometry:
     """The eps-free stage for F faces and the M field points xf, shape
     (M, 3), written into `block` (from `_coefficient_block`) after the
-    coefficients' room, or into a new block without it. With `constant`,
-    x holds the offsets from the centroids, which replace the corner ones
-    once the stage has used them."""
+    coefficients' room of 21 values a pair, or into a new block. With
+    `constant`, t is room for one basis function, and x holds the offsets
+    from the centroids, which replace the corner ones once they are used."""
     K, F, M = 1 if constant else 3, len(frame.BH), len(xf)
     if block is None:
-        block = _coefficient_block(F * M, constant, np.result_type(xf, frame.y0))
+        block = _coefficient_block(F * M, np.result_type(xf, frame.y0))
     n = F * M
     t = block[:7 * K * n].reshape(K, 7, F, M)
-    pair = block[7 * K * n:(7 * K + _GEOMETRY) * n].reshape(_GEOMETRY, F, M)
+    pair = block[21 * n:(21 + _GEOMETRY) * n].reshape(_GEOMETRY, F, M)
     x, r2, z0sq = pair[:9].reshape(3, 3, F, M), pair[9:12], pair[12]
     u0, u1, xn, dots, cv, cw = (pair[13:16], pair[16:19], pair[19:22], pair[22:25],
                                 pair[25], pair[26])
@@ -279,10 +281,11 @@ def _reversed(d0, d1, d2):
     return d0, d0 - d1, d0 - 2 * d1 + d2
 
 
-def _t_table_arrays(g: _Geometry, eps: float, constant=False):
-    """All 13 T integrals at one eps from the geometry g, values (F, M). With
-    `constant`, only the seven integrals of the constant density
-    (`_BASIS_KEYS[0]`)."""
+def _t_table_arrays(g: _Geometry, eps: float):
+    """All 13 T integrals at one eps from the geometry g, values (F, M); for
+    the one basis function of a constant density (len(g.t) == 1), only the
+    seven integrals it reads (`_BASIS_KEYS[0]`)."""
+    constant = len(g.t) == 1
     eps2 = eps * eps
     R = np.sqrt(g.r2 + eps2)
     gamma = np.sqrt(g.z0sq + eps2)
@@ -402,18 +405,17 @@ def _shift(t, sigma, tau):
         tXv -= times(sigma, tE)
 
 
-def _coefficient_block(num_pairs, constant=False, dtype=float, blocks=False):
-    """Flat room for the coefficients t, shape (K, 7, F, M), and the eps-free
-    geometry (`_geometry`, the corner offsets among it) of a kernel call on
-    up to num_pairs = F M face-point pairs: a call's largest arrays, and
-    with `blocks` also the block terms of `_velocity_blocks`, which take the
-    geometry's place once the coefficients are formed. A caller that makes
-    many calls passes one block to each, so that the calls do not give the
-    heap back to the system and fault it in again (README, "Frames, kernel
-    shapes and chunking")."""
-    K = 1 if constant else 3
-    return np.empty((7 * K + max(10 * K if blocks else 0, _GEOMETRY)) * num_pairs,
-                    dtype=dtype)
+def _coefficient_block(num_pairs, dtype):
+    """Flat room for a kernel call on up to num_pairs = F M face-point pairs,
+    51 values a pair in one layout for either element kind: 21 for the
+    coefficients t of up to three basis functions, shape (K, 7, F, M), then
+    30 for the eps-free geometry (`_geometry`, 27 values a pair, the corner
+    offsets among it) or the block terms of `_velocity_blocks` (10 K), which
+    take the geometry's place once the coefficients are formed: a call's
+    largest arrays. A caller that makes many calls passes one block to
+    each, so that the calls do not give the heap back to the system and
+    fault it in again (README, "Frames, kernel shapes and chunking")."""
+    return np.empty((21 + max(_GEOMETRY, 30)) * num_pairs, dtype=dtype)
 
 
 def _edges(frame: TriangleFrame, params: KernelParams):
@@ -424,15 +426,14 @@ def _edges(frame: TriangleFrame, params: KernelParams):
     return L[:, 0] * frame.side_e[:, 0], L[:, 1] * frame.side_e[:, 1], s
 
 
-def _basis_terms(g: _Geometry, frame: TriangleFrame, params: KernelParams,
-                 constant=False):
+def _basis_terms(g: _Geometry, frame: TriangleFrame, params: KernelParams):
     """Each basis function's block of the F faces at the M points of the
     geometry g (`_geometry`) in rank-3 form, at one params.
 
     The bases are the three corner hats of the linear density, each taken
-    about its own corner, or with `constant` the constant density of the
-    face, taken about its centroid. Returns (t, x, v, w, s) with
-    M_k = s ((t1 + eps^2 tE) I + [x[k] v w] S_k [x[k] v w]^T) for basis k:
+    about its own corner, or the constant density of the face, taken about
+    its centroid, as g holds room for three or one. Returns (t, x, v, w, s)
+    with M_k = s ((t1 + eps^2 tE) I + [x[k] v w] S_k [x[k] v w]^T) for basis k:
     t holds its seven coefficients (t1, tE, tXv, tXw, tVv, tVw, tWw), shape
     (K, 7, F, M), K = 3 or 1, of which the last six are the entries of S_k
     in the order of _S_ROWS; x[k] = xf - xc_k, shape (K, 3, F, M), is the
@@ -449,8 +450,8 @@ def _basis_terms(g: _Geometry, frame: TriangleFrame, params: KernelParams,
     exactly 0, so assembled and evaluated velocities agree to rounding.
     """
     t = g.t
-    T = _t_table_arrays(g, params.eps, constant)
-    if constant:  # the three hats sum to one: the f0 basis
+    T = _t_table_arrays(g, params.eps)
+    if len(t) == 1:  # a constant density: the three hats sum to one, f0
         for i, key in enumerate(_BASIS_KEYS[0]):
             t[0, i] = T[key]
         shifts = ((2.0 / 3.0, 1.0 / 3.0),)  # the centroid
@@ -496,13 +497,13 @@ def _block_map(frame: TriangleFrame, params: KernelParams):
 def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, G, constant, block):
     """The block terms of each basis function (the corners, or with
     `constant` the face), face and point, shape (K, F, 10, M), from the
-    frame's G (`_block_map`), written into `block`, from
-    `_coefficient_block(..., blocks=True)`, after the coefficients, where
-    the geometry was. `bench/tracing.py` wraps `solver._velocity_blocks` by
-    this name until the package emits its own spans (ROADMAP item 2)."""
-    t = _basis_terms(_geometry(xf, frame, constant, block), frame, params, constant)[0]
+    frame's G (`_block_map`), written into `block` (`_coefficient_block`)
+    after the coefficients, where the geometry was. `bench/tracing.py`
+    wraps `solver._velocity_blocks` by this name until the package emits
+    its own spans (ROADMAP item 2)."""
+    t = _basis_terms(_geometry(xf, frame, constant, block), frame, params)[0]
     K, _, F, M = t.shape
-    out = block[7 * K * F * M:17 * K * F * M].reshape(K, F, 10, M)
+    out = block[21 * F * M:(21 + 10 * K) * F * M].reshape(K, F, 10, M)
     return np.matmul(G, t.transpose(0, 2, 1, 3), out=out)
 
 
@@ -551,15 +552,15 @@ def _contract(terms, forces, eps):
     return u.sum(axis=1)
 
 
-def _velocity(xf, frame: TriangleFrame, forces, params, constant=False, block=None):
+def _velocity(xf, frame: TriangleFrame, forces, params, block=None):
     """Velocity at the M points xf, summed over the F faces of the frame,
     for each of the E params of a sweep and its force of each face's basis
-    functions, forces of shape (E, F, K, 3): a list of E arrays of shape
-    (3, M). The eps-free geometry is formed once, into `block` as
-    `_geometry` takes it, and each params forms its coefficients from it
-    and contracts them with its forces (`_contract`)."""
-    geometry = _geometry(xf, frame, constant, block)
-    return [_contract(_basis_terms(geometry, frame, kp, constant), basis_forces, kp.eps)
+    functions, forces of shape (E, F, K, 3), K = 1 for constant elements: a
+    list of E arrays of shape (3, M). The eps-free geometry is formed once,
+    into `block` as `_geometry` takes it, and each params forms its
+    coefficients from it and contracts them with its forces (`_contract`)."""
+    geometry = _geometry(xf, frame, forces.shape[2] == 1, block)
+    return [_contract(_basis_terms(geometry, frame, kp), basis_forces, kp.eps)
             for basis_forces, kp in zip(forces, params)]
 
 

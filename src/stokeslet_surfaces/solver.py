@@ -67,15 +67,14 @@ def _point_slabs(num_points, most):
     return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
 
 
-def _coefficients(num_faces, slabs, constant, blocks=False):
-    """One coefficient block for all the kernel calls on `slabs`
-    (`_coefficient_block`'s `blocks`). A call on a slab of s points holds at
-    most min(F s, max(s, _CHUNK_PAIRS)) pairs, which grows with s, and the
-    first slab is the largest (a smaller last slab may still make calls of
-    more pairs than the first slab's first)."""
+def _coefficients(num_faces, slabs):
+    """One coefficient block (`_coefficient_block`) for all the kernel calls
+    on `slabs`, of either element kind. A call on a slab of s points holds
+    at most min(F s, max(s, _CHUNK_PAIRS)) pairs, which grows with s, and
+    the first slab is the largest (a smaller last slab may still make calls
+    of more pairs than the first slab's first)."""
     points = slabs[0].stop - slabs[0].start if slabs else 0
-    return _coefficient_block(min(num_faces * points, max(points, _CHUNK_PAIRS)),
-                              constant, blocks=blocks)
+    return _coefficient_block(min(num_faces * points, max(points, _CHUNK_PAIRS)), float)
 
 
 def _as_rows(values, rows, name: str) -> np.ndarray:
@@ -122,43 +121,43 @@ def _as_sweep(params, values, rows, name: str):
     return params, values
 
 
-def _evaluate(mesh: TriMesh, basis_forces, points, params, constant=False):
+def _evaluate(mesh: TriMesh, basis_forces, points, params):
     """Velocity at points, shape (E, M, 3), for each of the E KernelParams in
     `params` from its force of each face's basis functions, basis_forces of
-    shape (E, F, K, 3): params, face, basis (the corners, or with `constant`
-    the face), xyz. Every eps passes the floor check before the first kernel
-    call; each kernel call forms the eps-free geometry of its face chunk and
-    point slab once for all E."""
+    shape (E, F, K, 3): params, face, basis (the three corners, or K = 1 for
+    the face's constant density), xyz. Every eps passes the floor check
+    before the first kernel call; each kernel call forms the eps-free
+    geometry of its face chunk and point slab once for all E."""
     for kp in params:
         kp.validate_for_mesh(mesh)
     pts = _as_points(points)
     u = np.zeros((len(params), 3, len(pts)))
     # slabs of at most 2 * _CHUNK_PAIRS points bound the memory of a call,
-    # about 780 B a point of the slab; the studies and the benchmark
+    # about 800 B a point of the slab; the studies and the benchmark
     # evaluate at most 7200 points, one slab
     slabs = _point_slabs(len(pts), 2 * _CHUNK_PAIRS)
-    block = _coefficients(mesh.num_faces, slabs, constant)
+    block = _coefficients(mesh.num_faces, slabs)
     for slab in slabs:
         for chunk in _face_chunks(mesh.num_faces, slab.stop - slab.start):
             velocities = _velocity(pts[slab], mesh.frames.select(chunk),
-                                   basis_forces[:, chunk], params, constant, block)
+                                   basis_forces[:, chunk], params, block)
             for u_e, velocity in zip(u, velocities):
                 u_e[:, slab] += velocity
     return np.ascontiguousarray(u.transpose(0, 2, 1))
 
 
 def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
-              params: KernelParams, constant=False) -> np.ndarray:
+              params: KernelParams) -> np.ndarray:
     """Dense matrix mapping stacked unknown forces to the velocities at
     points; basis_unknowns, shape (F, K), holds the unknown that carries the
-    force of each face's basis functions (the corners, or with `constant`
-    the face), and unknown j is collocated at points[j]."""
+    force of each face's basis functions (the corners, or K = 1 for the
+    face's constant density), and unknown j is collocated at points[j]."""
     params.validate_for_mesh(mesh)
-    m, n = len(points), num_unknowns
+    m, n, constant = len(points), num_unknowns, basis_unknowns.shape[1] == 1
     # slabs of at most _CHUNK_PAIRS // 16 points, so that each kernel call
     # on a slab still spans 16 faces or more
     slabs = _point_slabs(m, _CHUNK_PAIRS // 16)
-    block = _coefficients(mesh.num_faces, slabs, constant, blocks=True)
+    block = _coefficients(mesh.num_faces, slabs)
     G = _block_map(mesh.frames, params)
     # one slab's accumulator, reused: unknown, block term, point; each face
     # adds the terms of its basis functions along contiguous runs of points
@@ -256,15 +255,18 @@ def solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
                      matrix=None) -> np.ndarray:
     """Vertex forces reproducing the prescribed vertex velocities.
 
-    Pass a precomputed `matrix` (from assemble_resistance) to amortize assembly
-    across multiple right-hand sides. Without it, the solve reuses a matrix
-    the caller still holds as assemble_resistance describes, or assembles.
+    Pass a precomputed real, finite `matrix` (from assemble_resistance) to
+    amortize assembly across multiple right-hand sides. Without it, the
+    solve reuses a matrix the caller still holds as assemble_resistance
+    describes, or assembles.
     """
     velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
     A = _resistance_matrix(mesh, params) if matrix is None else np.asarray(matrix)
     size = 3 * mesh.num_vertices
     if A.shape != (size, size):
         raise ValueError(f"matrix must have shape ({size}, {size}), got {A.shape}")
+    if A.dtype.kind not in "fiu" or not np.all(np.isfinite(A)):
+        raise ValueError(f"matrix must be real and finite, got dtype {A.dtype}")
     f = _dense_solve(A, velocities.reshape(-1))
     return f.reshape(-1, 3)
 
@@ -297,14 +299,6 @@ def _torque_blocks(mesh: TriMesh, center):
     blocks = np.bincount(entries.ravel(), moments.ravel(),
                          minlength=9 * mesh.num_vertices)
     return blocks.reshape(-1, 3, 3)
-
-
-def _vertex_moments(mesh: TriMesh, center):
-    """Force weights w, shape (N,), and torque blocks C, shape (N, 3, 3), the
-    net-force and net-torque rows of the swimmer's balance: net force
-    sum_j w[j] f[j] (`_vertex_weights`), net torque about `center`
-    sum_j C[j] @ f[j] (`_torque_blocks`)."""
-    return _vertex_weights(mesh), _torque_blocks(mesh, center)
 
 
 def net_force(mesh: TriMesh, forces) -> np.ndarray:
@@ -347,9 +341,8 @@ def solve_swimmer(mesh: TriMesh, slip, params: KernelParams,
     rhs = np.column_stack([slip.reshape(-1), np.tile(np.eye(3), (n, 1)),
                            -_skew(mesh.vertices - c).reshape(3 * n, 3)])
     Y = _dense_solve(_resistance_matrix(mesh, params), rhs)
-    weights, blocks = _vertex_moments(mesh, c)
-    C = np.vstack([np.kron(weights, np.eye(3)),
-                   blocks.transpose(1, 0, 2).reshape(3, 3 * n)])
+    C = np.vstack([np.kron(_vertex_weights(mesh), np.eye(3)),
+                   _torque_blocks(mesh, c).transpose(1, 0, 2).reshape(3, 3 * n)])
     CY = C @ Y
     m = _dense_solve(CY[:, 1:], -CY[:, 0])
     forces = Y[:, 0] + Y[:, 1:] @ m
@@ -375,8 +368,7 @@ def baseline_mrs_velocity(mesh: TriMesh, forces, points, params: KernelParams):
 
 def constant_assemble_resistance(mesh: TriMesh, params: KernelParams) -> np.ndarray:
     """3F x 3F matrix mapping per-face constant forces to centroid velocities."""
-    return _assemble(mesh, mesh.face_centroids(), _own_face(mesh), mesh.num_faces,
-                     params, constant=True)
+    return _assemble(mesh, mesh.face_centroids(), _own_face(mesh), mesh.num_faces, params)
 
 
 def constant_evaluate_velocity(mesh: TriMesh, face_forces, points,
@@ -385,5 +377,5 @@ def constant_evaluate_velocity(mesh: TriMesh, face_forces, points,
     shape (M, 3); a sequence of E params takes face_forces of shape
     (E, F, 3) and gives shape (E, M, 3), as `evaluate_velocity` does."""
     sweep, face_forces = _as_sweep(params, face_forces, mesh.num_faces, "face_forces")
-    u = _evaluate(mesh, face_forces[:, :, None], points, sweep, constant=True)
+    u = _evaluate(mesh, face_forces[:, :, None], points, sweep)
     return u[0] if isinstance(params, KernelParams) else u

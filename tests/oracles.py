@@ -118,7 +118,7 @@ def basis_blocks(xf, frame, params, constant=False):
     from stokeslet_surfaces import kernel
 
     geometry = kernel._geometry(xf, frame, constant)
-    t, x, v, w, s = kernel._basis_terms(geometry, frame, params, constant)
+    t, x, v, w, s = kernel._basis_terms(geometry, frame, params)
     c, S = t[:, 0] + params.eps**2 * t[:, 1], t[:, 1:]
     cols = (x, np.broadcast_to(v, x.shape), np.broadcast_to(w, x.shape))
     blocks = np.zeros((len(x), 3, 3) + x.shape[2:], dtype=x.dtype)
@@ -131,7 +131,7 @@ def basis_blocks(xf, frame, params, constant=False):
 
 
 def scatter_vertex_moments(mesh, center):
-    """(weights, torque blocks) of `solver._vertex_moments`, each summed by
+    """(`solver._vertex_weights`, `solver._torque_blocks`), each summed by
     a scatter-add of every corner's term into its vertex, face by face, and
     the lever arms' cross products taken by numpy's cross."""
     n = mesh.num_vertices
@@ -173,7 +173,8 @@ def augmented_swimmer_reference(mesh, slip, params, center):
     right-hand side on those six rows. This is the construction the bordered
     `solver.solve_swimmer` replaced; it shares A and the moment rows with it,
     not the elimination."""
-    from stokeslet_surfaces.solver import _skew, _vertex_moments, assemble_resistance
+    from stokeslet_surfaces.solver import (_skew, _torque_blocks, _vertex_weights,
+                                           assemble_resistance)
 
     n = mesh.num_vertices
     c = np.asarray(center, dtype=float)
@@ -182,9 +183,8 @@ def augmented_swimmer_reference(mesh, slip, params, center):
     A[: 3 * n, : 3 * n] = assemble_resistance(mesh, params)
     A[: 3 * n, 3 * n : 3 * n + 3] = np.tile(-np.eye(3), (n, 1))
     A[: 3 * n, 3 * n + 3 :] = _skew(mesh.vertices - c).reshape(3 * n, 3)
-    weights, blocks = _vertex_moments(mesh, c)
-    A[3 * n : 3 * n + 3, : 3 * n] = np.kron(weights, np.eye(3))
-    A[3 * n + 3 :, : 3 * n] = blocks.transpose(1, 0, 2).reshape(3, 3 * n)
+    A[3 * n : 3 * n + 3, : 3 * n] = np.kron(_vertex_weights(mesh), np.eye(3))
+    A[3 * n + 3 :, : 3 * n] = _torque_blocks(mesh, c).transpose(1, 0, 2).reshape(3, 3 * n)
     b = np.zeros(size)
     b[: 3 * n] = np.asarray(slip, dtype=float).reshape(-1)
     x = np.linalg.solve(A, b)

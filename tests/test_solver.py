@@ -40,7 +40,8 @@ from stokeslet_surfaces import (
 )
 from stokeslet_surfaces import kernel, solver
 from stokeslet_surfaces.studies import B1
-from stokeslet_surfaces.solver import _own_face, _velocity_blocks, _vertex_moments
+from stokeslet_surfaces.solver import (_own_face, _torque_blocks, _velocity_blocks,
+                                       _vertex_weights)
 
 import oracles
 
@@ -198,7 +199,7 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
     one_face = np.zeros((3, len(field)))
     for p in range(mesh.num_faces):
         one_face += kernel._velocity(field, mesh.frames.select(slice(p, p + 1)),
-                                     basis_forces[None, p:p + 1], [params], constant)[0]
+                                     basis_forces[None, p:p + 1], [params])[0]
     assert np.array_equal(u, one_face.T)
 
 
@@ -230,7 +231,7 @@ def test_assembly_forms_its_blocks_within_the_kernel_calls_block(monkeypatch):
 def test_evaluation_memory_is_bounded_by_its_slabs():
     # Points beyond 2 * _CHUNK_PAIRS go in slabs, so a 50 000-point
     # evaluation on f=1 holds one slab's kernel temporaries and its output:
-    # a traced peak of 5.6 MB, against 23.2 MB with every point in each call.
+    # a traced peak of 6.7 MB, against 23.2 MB with every point in each call.
     mesh = make_icosphere(1)
     params = KernelParams(eps=1e-2)
     rng = np.random.default_rng(5)
@@ -254,28 +255,35 @@ def test_evaluation_does_not_fault_its_heap_in_again_on_every_call():
     # given back to the system and faulted in again by every call: 55k
     # minor page faults an evaluation at 6000 points around an f=2 sphere,
     # against 0.9k with the block (median of 6 in a fresh process).
+    # Constant elements took 0.8k faults while their block was smaller than
+    # the linear one, and take as few as linear ones in the same layout.
     code = """
-import resource, statistics
+import resource, statistics, sys
 import numpy as np
 import stokeslet_surfaces as ss
 mesh = ss.make_icosphere(2)
 params = ss.KernelParams(eps=1e-2)
 rng = np.random.default_rng(0)
-forces = rng.normal(size=(mesh.num_vertices, 3))
+if sys.argv[1] == "constant":
+    evaluate, rows = ss.constant_evaluate_velocity, mesh.num_faces
+else:
+    evaluate, rows = ss.evaluate_velocity, mesh.num_vertices
+forces = rng.normal(size=(rows, 3))
 dirs = rng.normal(size=(6000, 3))
 points = 2.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
 faults = []
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    ss.evaluate_velocity(mesh, forces, points, params)
+    evaluate(mesh, forces, points, params)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(statistics.median(faults))
 """
     src = str(Path(solver.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert float(out.stdout) < 5000
+    for elements, bound in (("linear", 5000), ("constant", 500)):
+        out = subprocess.run([sys.executable, "-c", code, elements],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert float(out.stdout) < bound, elements
 
 
 def _rotation(rng):
@@ -724,8 +732,21 @@ def test_malformed_center_rejected(center):
 def test_solve_resistance_rejects_malformed_matrix():
     mesh = make_icosphere(1)
     velocities = np.ones((mesh.num_vertices, 3))
+    params = KernelParams(eps=1e-2)
     with pytest.raises(ValueError, match="matrix must have shape"):
-        solve_resistance(mesh, velocities, KernelParams(eps=1e-2), matrix=np.eye(5))
+        solve_resistance(mesh, velocities, params, matrix=np.eye(5))
+    # unchecked, an inf at A[0, 0] gave finite forces (86% off at f=2 and
+    # eps = 1e-3), a complex matrix complex forces, and a NaN
+    # SingularSystemError
+    A = assemble_resistance(mesh, params)
+    for bad in (np.inf, np.nan):
+        B = A.copy()
+        B[0, 0] = bad
+        with pytest.raises(ValueError, match="matrix must be real and finite"):
+            solve_resistance(mesh, velocities, params, matrix=B)
+    for dtype in (complex, object, bool):
+        with pytest.raises(ValueError, match="matrix must be real and finite"):
+            solve_resistance(mesh, velocities, params, matrix=A.astype(dtype))
 
 
 def test_swimmer_quiescent(small_sphere):
@@ -915,14 +936,13 @@ def test_vertex_moments_equal_the_scatter_add_bit_for_bit(shape):
         mesh = make_box_mesh((0.1, 0.1, 0.1), 0.25, 0.1).merged_with(
             make_pipe_mesh(1.0, 0.5, 0.5, 0.25))
     center = np.array([0.05, -0.3, 0.2])
-    weights, blocks = _vertex_moments(mesh, center)
     want_weights, want_blocks = oracles.scatter_vertex_moments(mesh, center)
-    assert np.array_equal(weights, want_weights)
-    assert np.array_equal(blocks, want_blocks)
+    assert np.array_equal(_vertex_weights(mesh), want_weights)
+    assert np.array_equal(_torque_blocks(mesh, center), want_blocks)
 
 
 def test_mrs_weights_sum_to_area(small_sphere):
-    w, _ = _vertex_moments(small_sphere, np.zeros(3))
+    w = _vertex_weights(small_sphere)
     total_area = (small_sphere.frames.BH / 2.0).sum()
     assert w.sum() == pytest.approx(total_area, rel=1e-12)
 
@@ -967,26 +987,20 @@ def test_constant_forward_matches_linear_with_equal_forces(small_sphere):
 
 
 @pytest.mark.parametrize("f", [2, 3])
-def test_constant_elements_skip_only_moments_they_never_read(f, monkeypatch):
-    # constant elements leave out T[1,0,1], T[0,1,1] and the cubic moments;
-    # the full table gives the same matrix and velocities to the last bit
+def test_constant_elements_skip_only_moments_they_never_read(f):
+    # constant elements leave out T[1,0,1], T[0,1,1] and the cubic moments:
+    # at the points where assembly and evaluation take them, their table
+    # holds the seven moments of the f0 basis, each the linear table's to
+    # the last bit
     mesh = make_icosphere(f)
-    params = KernelParams(eps=1e-3)
-    rng = np.random.default_rng(f)
-    face_forces = rng.normal(size=(mesh.num_faces, 3))
-    pts = _points_off_the_unit_sphere(rng)
-
-    def run():
-        return (constant_assemble_resistance(mesh, params),
-                constant_evaluate_velocity(mesh, face_forces, pts, params))
-
-    skipped = run()
-    full_table = kernel._t_table_arrays
-    monkeypatch.setattr(kernel, "_t_table_arrays",
-                        lambda geometry, eps, constant=False:
-                        full_table(geometry, eps))
-    for got, want in zip(skipped, run()):
-        assert np.array_equal(got, want)
+    pts = np.vstack([_points_off_the_unit_sphere(np.random.default_rng(f)),
+                     mesh.face_centroids()])
+    linear, constant = (kernel._t_table_arrays(kernel._geometry(pts, mesh.frames, kind),
+                                               1e-3) for kind in (False, True))
+    assert len(linear) == 13
+    assert set(constant) == set(kernel._BASIS_KEYS[0])
+    for key, value in constant.items():
+        assert np.array_equal(value, linear[key])
 
 
 def _points_off_the_unit_sphere(rng):

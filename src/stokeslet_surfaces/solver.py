@@ -261,12 +261,14 @@ def solve_resistance(mesh: TriMesh, velocities, params: KernelParams,
     describes, or assembles.
     """
     velocities = _as_rows(velocities, mesh.num_vertices, "velocities")
-    A = _resistance_matrix(mesh, params) if matrix is None else np.asarray(matrix)
-    size = 3 * mesh.num_vertices
-    if A.shape != (size, size):
-        raise ValueError(f"matrix must have shape ({size}, {size}), got {A.shape}")
-    if A.dtype.kind not in "fiu" or not np.all(np.isfinite(A)):
-        raise ValueError(f"matrix must be real and finite, got dtype {A.dtype}")
+    if matrix is None:
+        A = _resistance_matrix(mesh, params)
+    else:
+        A, size = np.asarray(matrix), 3 * mesh.num_vertices
+        if A.shape != (size, size):
+            raise ValueError(f"matrix must have shape ({size}, {size}), got {A.shape}")
+        if A.dtype.kind not in "fiu" or not np.all(np.isfinite(A)):
+            raise ValueError(f"matrix must be real and finite, got dtype {A.dtype}")
     f = _dense_solve(A, velocities.reshape(-1))
     return f.reshape(-1, 3)
 

@@ -254,9 +254,9 @@ def test_evaluation_does_not_fault_its_heap_in_again_on_every_call():
     # Allocated anew by each call, they and the T table's temporaries were
     # given back to the system and faulted in again by every call: 55k
     # minor page faults an evaluation at 6000 points around an f=2 sphere,
-    # against 0.9k with the block (median of 6 in a fresh process).
-    # Constant elements took 0.8k faults while their block was smaller than
-    # the linear one, and take as few as linear ones in the same layout.
+    # against 5 with the block (median of 6 in a fresh process). Constant
+    # elements took 0.8k while their block was smaller than the linear
+    # one, and take 5 in the same layout.
     code = """
 import resource, statistics, sys
 import numpy as np

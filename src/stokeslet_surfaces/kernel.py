@@ -40,7 +40,9 @@ every array operation runs over contiguous F*M runs. Each basis function's
 block has rank-3 form about its own collocation point, the corner of a
 linear hat or the centroid of a constant density, with coefficients
 (`_basis_terms`) that assembly and forward evaluation share. Evaluation
-(`_velocity`) contracts them with the forces. Assembly maps them in one
+(`_velocity`) contracts them with the forces into each face's velocity,
+which the caller adds in face order, so that a point's velocity does not
+depend on the other faces and points of its call. Assembly maps them in one
 batched matmul to ten terms free of the offset x from the collocation
 point (`_block_map`, `_velocity_blocks`), sums those over the faces around
 each collocation point, and forms each unknown's block once a point
@@ -426,23 +428,19 @@ def _edges(frame: TriangleFrame, params: KernelParams):
     return L[:, 0] * frame.side_e[:, 0], L[:, 1] * frame.side_e[:, 1], s
 
 
-def _basis_terms(g: _Geometry, frame: TriangleFrame, params: KernelParams):
-    """Each basis function's block of the F faces at the M points of the
-    geometry g (`_geometry`) in rank-3 form, at one params.
+def _basis_terms(g: _Geometry, eps: float):
+    """Each basis function's seven coefficients (t1, tE, tXv, tXw, tVv, tVw,
+    tWw) of the F faces at the M points of the geometry g (`_geometry`), at
+    one eps, shape (K, 7, F, M), K = 3 or 1. With x = g.x[k] = xf - xc_k,
+    the offset from the collocation point, and the edges v, w and scale s of
+    `_edges`, basis k's block is M_k = s ((t1 + eps^2 tE) I + [x v w] S_k
+    [x v w]^T), whose S_k has the last six coefficients as entries, in the
+    order of _S_ROWS.
 
     The bases are the three corner hats of the linear density, each taken
     about its own corner, or the constant density of the face, taken about
-    its centroid, as g holds room for three or one. Returns (t, x, v, w, s)
-    with M_k = s ((t1 + eps^2 tE) I + [x[k] v w] S_k [x[k] v w]^T) for basis k:
-    t holds its seven coefficients (t1, tE, tXv, tXw, tVv, tVw, tWw), shape
-    (K, 7, F, M), K = 3 or 1, of which the last six are the entries of S_k
-    in the order of _S_ROWS; x[k] = xf - xc_k, shape (K, 3, F, M), is the
-    offset from the basis function's collocation point; v and w are the
-    edges y0 - y1 and y1 - y2, shape (3, F, 1); and s, shape (F, 1), is the
-    area Jacobian BH times the prefactor 1/(8 pi mu).
-
-    t is written into g's room for it, so a call for the next eps of a
-    sweep overwrites it; x is g's.
+    its centroid, as g holds room for three or one. t is written into g's
+    room for it, so a call for the next eps of a sweep overwrites it.
 
     The T moments about corner 0 carry a large cancellation at eps << h.
     The shift to each collocation point takes it once, in coefficients that
@@ -450,7 +448,7 @@ def _basis_terms(g: _Geometry, frame: TriangleFrame, params: KernelParams):
     exactly 0, so assembled and evaluated velocities agree to rounding.
     """
     t = g.t
-    T = _t_table_arrays(g, params.eps)
+    T = _t_table_arrays(g, eps)
     if len(t) == 1:  # a constant density: the three hats sum to one, f0
         for i, key in enumerate(_BASIS_KEYS[0]):
             t[0, i] = T[key]
@@ -465,8 +463,7 @@ def _basis_terms(g: _Geometry, frame: TriangleFrame, params: KernelParams):
     del T  # keeps the peak memory of a call down
     for tk, (sigma, tau) in zip(t, shifts):
         _shift(tk, sigma, tau)
-    v, w, s = _edges(frame, params)
-    return t, g.x, _columns(v), _columns(w), s[:, None]
+    return t
 
 
 # the entries (i, j), i <= j, of a symmetric 3x3 block, in the order of the
@@ -501,7 +498,7 @@ def _velocity_blocks(xf, frame: TriangleFrame, params: KernelParams, G, constant
     after the coefficients, where the geometry was. `bench/tracing.py`
     wraps `solver._velocity_blocks` by this name until the package emits
     its own spans (ROADMAP item 2)."""
-    t = _basis_terms(_geometry(xf, frame, constant, block), frame, params)[0]
+    t = _basis_terms(_geometry(xf, frame, constant, block), params.eps)
     K, _, F, M = t.shape
     out = block[21 * F * M:(21 + 10 * K) * F * M].reshape(K, F, 10, M)
     return np.matmul(G, t.transpose(0, 2, 1, 3), out=out)
@@ -529,17 +526,18 @@ def _form_blocks(terms, xf, xc, out, scratch):
             out[j, i] = Mij
 
 
-def _contract(terms, forces, eps):
-    """Velocity at the M points, shape (3, M), summed over the F faces, from
-    the basis terms (t, x, v, w, s) of `_basis_terms` at `eps` and the force
-    of each face's basis functions, shape (F, K, 3).
+def _contract(t, x, edges, forces, eps):
+    """Velocity at the M points of each of the F faces, shape (3, F, M), from
+    the coefficients t of `_basis_terms` at `eps`, the offsets x from the
+    collocation points (the geometry's), the edges and scale of `_edges`,
+    and the force of each face's basis functions, shape (F, K, 3).
 
     Each block is contracted with its scaled force g_k = s f_k before any
     3x3 entry is formed: with X = x_k . g_k, V = v . g_k and W = w . g_k,
     the rows of S_k (X, V, W) give P_k, Q_k and R_k, and
     u = sum over k of (c_k g_k + x_k P_k) + v sum Q_k + w sum R_k.
     """
-    t, x, v, w, s = terms
+    v, w, s = _columns(edges[0]), _columns(edges[1]), edges[2][:, None]
     c, S = t[:, 0] + eps**2 * t[:, 1], t[:, 1:]
     g = s * forces.transpose(1, 2, 0)[..., None]  # basis, xyz, face, 1
     X, V, W = (_dot(a, g.swapaxes(0, 1)) for a in (x.swapaxes(0, 1), v, w))
@@ -549,23 +547,24 @@ def _contract(terms, forces, eps):
     for k in range(len(x)):
         u += x[k] * P[k]
         u += c[k] * g[k]
-    return u.sum(axis=1)
+    return u
 
 
 def _velocity(xf, frame: TriangleFrame, forces, params, block=None):
-    """Velocity at the M points xf, summed over the F faces of the frame,
-    for each of the E params of a sweep and its force of each face's basis
+    """Velocity at the M points xf of each of the F faces of the frame, for
+    each of the E params of a sweep and its force of each face's basis
     functions, forces of shape (E, F, K, 3), K = 1 for constant elements: a
-    list of E arrays of shape (3, M). The eps-free geometry is formed once,
-    into `block` as `_geometry` takes it, and each params forms its
-    coefficients from it and contracts them with its forces (`_contract`)."""
-    geometry = _geometry(xf, frame, forces.shape[2] == 1, block)
-    return [_contract(_basis_terms(geometry, frame, kp), basis_forces, kp.eps)
-            for basis_forces, kp in zip(forces, params)]
+    list of E arrays of shape (3, F, M), which the caller adds over the
+    faces in face order. The eps-free geometry is formed once, into `block`
+    as `_geometry` takes it, and each params forms its coefficients from it
+    and contracts them with its forces (`_contract`)."""
+    g = _geometry(xf, frame, forces.shape[2] == 1, block)
+    return [_contract(_basis_terms(g, kp.eps), g.x, _edges(frame, kp), basis_forces,
+                      kp.eps) for basis_forces, kp in zip(forces, params)]
 
 
 def triangle_velocity(xf, frame: TriangleFrame, f0, f1, f2, params: KernelParams):
     """Velocity at xf induced by the linear force density (f0, f1, f2) on
     a one-face frame."""
     forces = np.asarray([f0, f1, f2], dtype=float)[None, None]  # params, face, corner
-    return _velocity(_one_point(xf, frame, params.eps), frame, forces, [params])[0][:, 0]
+    return _velocity(_one_point(xf, frame, params.eps), frame, forces, [params])[0][:, 0, 0]

@@ -45,18 +45,9 @@ __all__ = [
 
 # Face-point pairs per kernel call, one face at least. Chunks amortize the
 # per-call overhead over several faces; this bound keeps a call's
-# coefficients and block terms small: the traced peak of an f=4 sphere
-# solve (one assembly, two resistance solves and a swimmer solve that
-# reuses A) is 6.10 MB with 4096-pair chunks, 8.66 MB with 8192-pair ones.
-# A call on a slab of more points holds one face at every point of the slab.
+# coefficients and block terms small. A call on a slab of more points holds
+# one face at every point of the slab.
 _CHUNK_PAIRS = 4096
-
-
-def _face_chunks(num_faces, num_points):
-    """Slices of consecutive faces, each with at most _CHUNK_PAIRS face-point
-    pairs (at least one face)."""
-    step = max(1, _CHUNK_PAIRS // max(1, num_points))
-    return [slice(start, start + step) for start in range(0, num_faces, step)]
 
 
 def _point_slabs(num_points, most):
@@ -67,14 +58,16 @@ def _point_slabs(num_points, most):
     return [slice(p0, min(p0 + size, num_points)) for p0 in range(0, num_points, size)]
 
 
-def _coefficients(num_faces, slabs):
-    """One coefficient block (`_coefficient_block`) for all the kernel calls
-    on `slabs`, of either element kind. A call on a slab of s points holds
-    at most min(F s, max(s, _CHUNK_PAIRS)) pairs, which grows with s, and
-    the first slab is the largest (a smaller last slab may still make calls
-    of more pairs than the first slab's first)."""
+def _call_plan(num_faces, slabs):
+    """The kernel calls of one assembly or evaluation on `slabs`: slices of
+    consecutive faces, each of at most _CHUNK_PAIRS face-point pairs (one
+    face at least) at the first slab, the largest, which every slab takes;
+    and one coefficient block (`_coefficient_block`) for a chunk at that
+    slab, which every call writes into."""
     points = slabs[0].stop - slabs[0].start if slabs else 0
-    return _coefficient_block(min(num_faces * points, max(points, _CHUNK_PAIRS)), float)
+    step = max(1, _CHUNK_PAIRS // max(1, points))
+    chunks = [slice(start, start + step) for start in range(0, num_faces, step)]
+    return chunks, _coefficient_block(min(num_faces, step) * points, float)
 
 
 def _as_rows(values, rows, name: str) -> np.ndarray:
@@ -133,16 +126,18 @@ def _evaluate(mesh: TriMesh, basis_forces, points, params):
     pts = _as_points(points)
     u = np.zeros((len(params), 3, len(pts)))
     # slabs of at most 2 * _CHUNK_PAIRS points bound the memory of a call,
-    # about 800 B a point of the slab; the studies and the benchmark
-    # evaluate at most 7200 points, one slab
+    # about 800 B a point of the slab
     slabs = _point_slabs(len(pts), 2 * _CHUNK_PAIRS)
-    block = _coefficients(mesh.num_faces, slabs)
+    chunks, block = _call_plan(mesh.num_faces, slabs)
     for slab in slabs:
-        for chunk in _face_chunks(mesh.num_faces, slab.stop - slab.start):
+        for chunk in chunks:
             velocities = _velocity(pts[slab], mesh.frames.select(chunk),
                                    basis_forces[:, chunk], params, block)
+            # face by face, as assembly adds A, so that a point's velocity
+            # does not depend on the faces and points that share its call
             for u_e, velocity in zip(u, velocities):
-                u_e[:, slab] += velocity
+                for face_velocity in velocity.swapaxes(0, 1):
+                    u_e[:, slab] += face_velocity
     return np.ascontiguousarray(u.transpose(0, 2, 1))
 
 
@@ -157,7 +152,7 @@ def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
     # slabs of at most _CHUNK_PAIRS // 16 points, so that each kernel call
     # on a slab still spans 16 faces or more
     slabs = _point_slabs(m, _CHUNK_PAIRS // 16)
-    block = _coefficients(mesh.num_faces, slabs)
+    chunks, block = _call_plan(mesh.num_faces, slabs)
     G = _block_map(mesh.frames, params)
     # one slab's accumulator, reused: unknown, block term, point; each face
     # adds the terms of its basis functions along contiguous runs of points
@@ -167,7 +162,7 @@ def _assemble(mesh: TriMesh, points, basis_unknowns, num_unknowns: int,
         ms = slab.stop - slab.start
         part = acc[..., :ms]
         part.fill(0.0)
-        for chunk in _face_chunks(mesh.num_faces, ms):
+        for chunk in chunks:
             terms = _velocity_blocks(points[slab], mesh.frames.select(chunk), params,
                                      G[chunk], constant, block)
             by_face = terms.swapaxes(0, 1)  # face, basis, term, point

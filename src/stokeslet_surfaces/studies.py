@@ -384,10 +384,12 @@ def _pipe_leak(report, *, h_cube_values=(0.1, 0.05, 0.0333),
         for kp in cube_params:
             matrix = solver.assemble_resistance(mesh, kp)
             forces.append(solver.solve_resistance(mesh, bc, kp, matrix=matrix))
-        # each side's leak under every eps, from one evaluation of the sweep
+        # both sides' leaks under every eps, from one evaluation of the sweep
+        qpts = np.vstack([side[1] for side in sides])
+        u_sides = np.split(solver.evaluate_velocity(mesh, forces, qpts, cube_params),
+                           [len(sides[0][1])], axis=1)
         leaks = []
-        for nhat, qpts, qwts, u_qpts in sides:
-            u = solver.evaluate_velocity(mesh, forces, qpts, cube_params)
+        for (nhat, _, qwts, u_qpts), u in zip(sides, u_sides):
             leaks.append([float(np.sum(qwts * np.abs((u_e + u_qpts) @ nhat))) / flux0
                           for u_e in u])
         for kp, front, back in zip(cube_params, *leaks):

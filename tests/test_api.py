@@ -1,10 +1,12 @@
-"""The public API is what the package itself uses.
+"""The public API is what the package itself uses, and README documents it.
 
 Every name exported by the five modules' `__all__` lists must have a caller
-in the package source, so that no public helper exists only for the tests.
+in the package source, so that no public helper exists only for the tests,
+and must appear in README as code.
 """
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -59,3 +61,10 @@ def test_every_export_has_a_caller_in_the_package():
         if path.name != "__init__.py":  # re-exports are not callers
             used |= _code_names(path)
     assert sorted(_exported() - used - PINNED_BY_ACCEPTANCE) == []
+
+
+def test_every_export_is_named_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)  # blocks and spans
+    assert [name for name in sorted(_exported())
+            if not any(re.search(rf"\b{name}\b", span) for span in code)] == []

@@ -93,8 +93,8 @@ def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch)
     # f=3 (92 vertices, 180 faces): chunks of faces that share unknowns
     # (linear elements; a constant density is one unknown of its face
     # alone); the small budgets also split the points into slabs of at most
-    # 8. With 132 pairs the last slab, of 4 points, makes larger calls
-    # (33 faces, 132 pairs) than the first slabs (16 faces, 128 pairs)
+    # 8. Every slab takes the first slab's chunks, so with 132 pairs the
+    # last slab, of 4 points, makes calls of 16 faces, as the slabs of 8 do
     mesh = make_icosphere(3)
     params = KernelParams(eps=1e-3)
     constant = elements == "constant"
@@ -117,6 +117,7 @@ def test_chunked_assembly_matches_one_face_blocks(elements, budget, monkeypatch)
     slab, faces = calls[0]
     assert (slab < len(points)) == (budget is not None)
     assert faces == min(mesh.num_faces, solver._CHUNK_PAIRS // slab)
+    assert max(f for _, f in calls) == faces
     first = unknowns[:faces]
     assert len(first) < mesh.num_faces
     assert (len(np.unique(first)) < first.size) != constant
@@ -146,9 +147,9 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
     # Each assembly and each evaluation allocates one coefficient block, and
     # every kernel call of it writes its eps-free geometry, the corner
     # offsets among it, and its coefficients there. Assembly on f=3 in slabs
-    # of 8 points and chunks of 16 faces (a budget of 128 pairs), and
-    # evaluation at 5000 points, one face a call, both equal one kernel call
-    # a face, each with a block of its own:
+    # of 8 points (the last of 4) and chunks of 16 faces (a budget of 128
+    # pairs), and evaluation at 5000 points, one face a call, both equal one
+    # kernel call a face, each with a block of its own:
     # evaluation bit for bit, and assembly, which forms each unknown's block
     # from terms summed over its faces, within 1.3e-15 (linear) and 2.5e-16
     # (constant) of max|A| of the one-face blocks, bounded here by 2e-15.
@@ -184,8 +185,8 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
         patch.setattr(solver, "_CHUNK_PAIRS", 128)
         A, assembly = writes(lambda: assemble(mesh, params))
     u, evaluation = writes(lambda: evaluate(mesh, forces, field, params))
-    # 11 slabs (constant: 22) of 8 points in 12 chunks, and one of 4 in 6
-    assert len(assembly) == (138 if elements == "linear" else 270)
+    # 12 slabs (constant: 23) in 12 chunks each
+    assert len(assembly) == (144 if elements == "linear" else 276)
     assert len(evaluation) == mesh.num_faces
     for calls in (assembly, evaluation):
         first = calls[0][0]
@@ -199,16 +200,16 @@ def test_kernel_calls_of_one_assembly_or_evaluation_share_one_block(elements,
     one_face = np.zeros((3, len(field)))
     for p in range(mesh.num_faces):
         one_face += kernel._velocity(field, mesh.frames.select(slice(p, p + 1)),
-                                     basis_forces[None, p:p + 1], [params])[0]
+                                     basis_forces[None, p:p + 1], [params])[0][:, 0]
     assert np.array_equal(u, one_face.T)
 
 
 def test_assembly_forms_its_blocks_within_the_kernel_calls_block(monkeypatch):
     # The block formation's offsets and scratch, 4 values an unknown and a
-    # point, go into the block in groups of unknowns. Sized for all 362
-    # unknowns of f=6 at once, at 181 points a slab, the block grew from
-    # the kernel calls' 1.67 MB to 2.10 MB (4.4 MB at f=8). The groups
-    # change no value of A.
+    # point, go into the block in groups of unknowns. The block holds one
+    # chunk of the kernel calls at the first slab, 22 faces at 181 points
+    # on f=6: 1.62 MB, against 2.10 MB for the offsets and scratch of all
+    # 362 unknowns at once. The groups change no value of A.
     mesh, params = make_icosphere(6), KernelParams(eps=1e-3)
     sizes = []
     block_for = solver._coefficient_block
@@ -220,7 +221,7 @@ def test_assembly_forms_its_blocks_within_the_kernel_calls_block(monkeypatch):
 
     monkeypatch.setattr(solver, "_coefficient_block", recorded)
     A = assemble_resistance(mesh, params)
-    assert sizes == [17 * 3 * solver._CHUNK_PAIRS]
+    assert sizes == [51 * (solver._CHUNK_PAIRS // 181) * 181]
     # a block twice as large holds all the unknowns in one group
     monkeypatch.setattr(solver, "_coefficient_block",
                         lambda *args, **kwargs: recorded(*args, scale=2, **kwargs))
@@ -352,14 +353,11 @@ def test_assembled_matrix_matches_evaluation_at_small_eps(elements, f, eps):
 @pytest.mark.parametrize("elements", ["linear", "constant"])
 def test_evaluation_calls_the_kernel_once_per_face_chunk(elements, monkeypatch):
     # The points go in equal slabs of at most 2 * _CHUNK_PAIRS, one slab
-    # up to 8192 points and two of 4500 at 9000. One call per
-    # _face_chunks(F, M) chunk of a slab, each at all M points of the slab:
-    # one face a call at 9000 and 5000 > _CHUNK_PAIRS points,
-    # _CHUNK_PAIRS // M faces a call (the last chunk fewer) at 300. u
-    # matches the kernel summed over two point halves to 2e-15 of max|u|:
-    # on this f=1 mesh bit-identical at 9000 (the halves are the slabs) and
-    # at 5000 to 7200 points, and within 8.3e-16 at 4097, where the SIMD
-    # tails of log and arctan2 fall at other points.
+    # up to 8192 points and two of 4500 at 9000. One call per face chunk
+    # of a slab, each at all M points of the slab: one face a call at 9000
+    # and 5000 > _CHUNK_PAIRS points, _CHUNK_PAIRS // M faces a call (the
+    # last chunk fewer) at 300. u equals the two point halves evaluated
+    # apart bit for bit, since each point adds its faces in face order.
     mesh = make_icosphere(1)
     params = KernelParams(eps=1e-2)
     rng = np.random.default_rng(7)
@@ -405,7 +403,36 @@ def test_evaluation_calls_the_kernel_once_per_face_chunk(elements, monkeypatch):
             group = calls[k * per_slab:(k + 1) * per_slab]
             assert all(np.array_equal(xf, slab) for xf, _ in group)
             assert np.array_equal(np.vstack([y0 for _, y0 in group]), mesh.frames.y0)
-        assert np.abs(u - halves).max() <= 2e-15 * np.abs(u).max()
+        assert np.array_equal(u, halves)
+
+
+@pytest.mark.parametrize("elements", ["linear", "constant"])
+def test_evaluation_is_bit_identical_however_its_kernel_calls_are_batched(elements,
+                                                                          monkeypatch):
+    # Each point adds the faces' velocities in face order, so its velocity
+    # does not depend on the chunk budget, on the other points evaluated
+    # with it (from one to 9000, two slabs past 8192), or on the sweep it
+    # belongs to. Summing each call's faces before adding them to the total
+    # would move the first 101 points by up to 3.7e-16 of max|u| here.
+    mesh = make_icosphere(2)
+    rng = np.random.default_rng(29)
+    if elements == "linear":
+        evaluate, rows = evaluate_velocity, mesh.num_vertices
+    else:
+        evaluate, rows = constant_evaluate_velocity, mesh.num_faces
+    params = [KernelParams(eps=1e-3), KernelParams(eps=3e-2, mu=0.7)]
+    forces = rng.normal(size=(len(params), rows, 3))
+    dirs = rng.normal(size=(9000, 3))
+    points = dirs * (rng.uniform(1.05, 3.0, 9000) / np.linalg.norm(dirs, axis=1))[:, None]
+    alone = [evaluate(mesh, f, points[:101], kp) for f, kp in zip(forces, params)]
+    for budget in (256, solver._CHUNK_PAIRS, 2**20):
+        monkeypatch.setattr(solver, "_CHUNK_PAIRS", budget)
+        for num_points in (1, 101, 333, 4097, 9000):
+            u = evaluate(mesh, forces, points[:num_points], params)
+            for u_e, want in zip(u, alone):
+                assert np.array_equal(u_e[:101], want[:num_points])
+            first = evaluate(mesh, forces[0], points[:num_points], params[0])
+            assert np.array_equal(first[:101], alone[0][:num_points])
 
 
 def _longdouble_frames(mesh):
